@@ -4,7 +4,8 @@
 // shape: an affine line in μ — a constant dispatch cost plus a per-output
 // cost.
 //
-// Queries run through DpssSampler::SampleInto with a reused output buffer:
+// Queries run through DpssSampler::SampleInto (BM_ShardedQueryByMu: the
+// Sampler interface) with a reused output buffer:
 // on the u128 fast path a warmed-up query performs zero heap allocations,
 // so the numbers here measure arithmetic, not the allocator. Results are
 // also written to BENCH_query_mu.json for cross-PR tracking (compare two
@@ -12,9 +13,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "bench/bench_json.h"
 #include "bench/bench_util.h"
 #include "core/dpss_sampler.h"
+#include "core/sampler.h"
 
 namespace {
 
@@ -79,6 +85,51 @@ void BM_HaltQuerySubOne(benchmark::State& state) {
   state.counters["n"] = static_cast<double>(kN);
 }
 BENCHMARK(BM_HaltQuerySubOne)->DenseRange(36, 60, 6);
+
+// The sharded wrapper (the dpss-serverd default backend) through the
+// Sampler interface, against unsharded "halt" through the same interface
+// (shards:0). Every shard is sampled at the global denominator, so the
+// cost should be K per-shard floors plus the O(μ) output work: the μ≈0
+// rows (β = 2^62, μ ≈ 2^-22) isolate the floor, and μ=64 is the
+// sharded-vs-halt gate (sharded8 within 1.5× of shards:0).
+void BM_ShardedQueryByMu(benchmark::State& state) {
+  const int64_t shards = state.range(0);
+  const uint64_t mu = static_cast<uint64_t>(state.range(1));
+  const auto weights =
+      dpss::bench::MakeWeights(kN, dpss::bench::WeightDist::kUniform, 1);
+  dpss::SamplerSpec spec;
+  spec.seed = 2;
+  spec.num_threads = 1;
+  const std::string name =
+      shards == 0 ? "halt" : "sharded" + std::to_string(shards) + ":halt";
+  std::unique_ptr<dpss::Sampler> s = dpss::MakeSampler(name, spec);
+  if (s == nullptr || !s->InsertBatch(weights, nullptr).ok()) {
+    state.SkipWithError("building the sampler failed");
+    return;
+  }
+  const dpss::Rational64 alpha =
+      mu == 0 ? dpss::Rational64{1, 1} : dpss::bench::AlphaForMu(mu);
+  const dpss::Rational64 beta =
+      mu == 0 ? dpss::Rational64{uint64_t{1} << 62, 1}
+              : dpss::Rational64{0, 1};
+  std::vector<dpss::ItemId> out;
+  uint64_t out_items = 0;
+  for (auto _ : state) {
+    if (!s->SampleInto(alpha, beta, &out).ok()) {
+      state.SkipWithError("query failed");
+      return;
+    }
+    out_items += out.size();
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.counters["mu"] =
+      static_cast<double>(out_items) / static_cast<double>(state.iterations());
+  state.counters["n"] = static_cast<double>(kN);
+  state.counters["shards"] = static_cast<double>(shards);
+}
+BENCHMARK(BM_ShardedQueryByMu)
+    ->ArgNames({"shards", "mu"})
+    ->ArgsProduct({{0, 8, 32}, {0, 1, 64}});
 
 }  // namespace
 

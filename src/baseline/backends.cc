@@ -56,18 +56,6 @@ Status WeightToU64(Weight w, uint64_t* out) {
   return Status::Ok();
 }
 
-// W(α, β) = α·Σw + β as an exact rational wnum/wden (wden > 0).
-void ComputeFixedW(Rational64 alpha, Rational64 beta,
-                   unsigned __int128 total, BigUInt* wnum, BigUInt* wden) {
-  *wnum = BigUInt::MulU64(
-              BigUInt::MulU64(BigUInt::FromU128(total), alpha.num),
-              beta.den) +
-          BigUInt::FromU128(static_cast<unsigned __int128>(beta.num) *
-                            alpha.den);
-  *wden = BigUInt::FromU128(static_cast<unsigned __int128>(alpha.den) *
-                            beta.den);
-}
-
 Status CheckFixedParams(Rational64 alpha, Rational64 beta,
                         Rational64 fixed_alpha, Rational64 fixed_beta) {
   if (!SameRational(alpha, fixed_alpha) || !SameRational(beta, fixed_beta)) {
@@ -180,17 +168,24 @@ class NaiveBackend final : public Sampler {
 
   Status SampleInto(Rational64 alpha, Rational64 beta,
                     std::vector<ItemId>* out) override {
-    Status st = ValidateQueryArgs(alpha, beta, out);
-    if (!st.ok()) return st;
-    *out = naive_.Sample(alpha, beta, rng_);
-    return Status::Ok();
+    return SampleInto(alpha, beta, rng_, out);
   }
 
   Status SampleInto(Rational64 alpha, Rational64 beta, RandomEngine& rng,
                     std::vector<ItemId>* out) const override {
     Status st = ValidateQueryArgs(alpha, beta, out);
     if (!st.ok()) return st;
-    *out = naive_.Sample(alpha, beta, rng);
+    BigUInt wnum, wden;
+    ParameterizedTotal(TotalWeight(), alpha, beta, &wnum, &wden);
+    return SampleIntoW(wnum, wden, rng, out);
+  }
+
+  Status SampleIntoW(const BigUInt& wnum, const BigUInt& wden,
+                     RandomEngine& rng,
+                     std::vector<ItemId>* out) const override {
+    Status st = ValidateDenominator(wden, out);
+    if (!st.ok()) return st;
+    *out = naive_.SampleW(wnum, wden, rng);
     return Status::Ok();
   }
 
@@ -518,7 +513,8 @@ class BucketJumpBackend final : public Sampler {
     if (!dirty_ && jump_ != nullptr) return;
     jump_ = std::make_unique<BucketJumpSampler>();
     BigUInt wnum, wden;
-    ComputeFixedW(alpha_, beta_, table_.total, &wnum, &wden);
+    ParameterizedTotal(BigUInt::FromU128(table_.total), alpha_, beta_, &wnum,
+                       &wden);
     for (uint64_t slot = 0; slot < table_.weights.size(); ++slot) {
       if (!table_.live[slot] || table_.weights[slot] == 0) continue;
       const ItemId id = MakeItemId(slot, table_.gens[slot]);
@@ -782,7 +778,8 @@ class OdssBackend final : public Sampler {
 
   void RefreshAllProbabilities() {
     BigUInt wnum, wden;
-    ComputeFixedW(alpha_, beta_, table_.total, &wnum, &wden);
+    ParameterizedTotal(BigUInt::FromU128(table_.total), alpha_, beta_, &wnum,
+                       &wden);
     const bool w_zero = wnum.IsZero();
     for (uint64_t slot = 0; slot < table_.weights.size(); ++slot) {
       if (!table_.live[slot]) continue;

@@ -32,16 +32,16 @@ uint64_t NaiveDpss::GetWeight(ItemId id) const {
 std::vector<NaiveDpss::ItemId> NaiveDpss::Sample(Rational64 alpha,
                                                  Rational64 beta,
                                                  RandomEngine& rng) const {
-  DPSS_CHECK(alpha.den > 0 && beta.den > 0);
-  // W = (alpha.num·Σw·beta.den + beta.num·alpha.den) / (alpha.den·beta.den).
-  const BigUInt wnum =
-      BigUInt::MulU64(
-          BigUInt::MulU64(BigUInt::FromU128(table_.total), alpha.num),
-          beta.den) +
-      BigUInt::FromU128(static_cast<unsigned __int128>(beta.num) * alpha.den);
-  const BigUInt wden = BigUInt::FromU128(
-      static_cast<unsigned __int128>(alpha.den) * beta.den);
+  BigUInt wnum, wden;
+  ParameterizedTotal(BigUInt::FromU128(table_.total), alpha, beta, &wnum,
+                     &wden);
+  return SampleW(wnum, wden, rng);
+}
 
+std::vector<NaiveDpss::ItemId> NaiveDpss::SampleW(const BigUInt& wnum,
+                                                  const BigUInt& wden,
+                                                  RandomEngine& rng) const {
+  DPSS_CHECK(!wden.IsZero());
   std::vector<ItemId> out;
   if (wnum.IsZero()) {
     for (uint64_t slot = 0; slot < table_.weights.size(); ++slot) {

@@ -61,6 +61,10 @@ class NaiveDpss {
 
   std::vector<ItemId> Sample(Rational64 alpha, Rational64 beta,
                              RandomEngine& rng) const;
+  // One query against an explicit parameterized total W = wnum/wden
+  // (p_x = min{w(x)·wden/wnum, 1}); the core Sample wraps. wden > 0.
+  std::vector<ItemId> SampleW(const BigUInt& wnum, const BigUInt& wden,
+                              RandomEngine& rng) const;
 
  private:
   bool exact_;

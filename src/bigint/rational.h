@@ -41,6 +41,18 @@ struct Rational64 {
   }
 };
 
+// The parameterized total W = α·total + β as the exact fraction num/den,
+// with num = α.num·total·β.den + β.num·α.den and den = α.den·β.den.
+inline void ParameterizedTotal(const BigUInt& total, Rational64 alpha,
+                               Rational64 beta, BigUInt* num, BigUInt* den) {
+  DPSS_CHECK(alpha.den > 0 && beta.den > 0);
+  *num = BigUInt::MulU64(BigUInt::MulU64(total, alpha.num), beta.den) +
+         BigUInt::FromU128(static_cast<unsigned __int128>(beta.num) *
+                           alpha.den);
+  *den = BigUInt::FromU128(static_cast<unsigned __int128>(alpha.den) *
+                           beta.den);
+}
+
 class BigRational {
  public:
   // Zero.

@@ -1,14 +1,14 @@
 // ShardedSampler implementation. The exactness-critical piece is the
-// two-step query: every shard's inner sampler draws against the *shard*
-// total it maintains itself, and the wrapper then thins each returned item
-// with an exact Bernoulli coin so the effective denominator becomes the
-// global parameterized total W̃ = α·(W_s + Σ_{t≠s} W_t^pub) + β, where W_s
-// is the shard's true total read under its lock and the other shards
-// contribute their last published totals. Because W̃ >= α·W_s + β, every
-// acceptance probability is a genuine probability; in a quiescent sampler
-// the published totals equal the true totals and W̃ is exactly α·Σw + β.
-// The algebra (including the min{·, 1} clamps) is spelled out in
-// docs/CONCURRENCY.md.
+// query: shard s is sampled through its inner backend's explicit-
+// denominator entry (Sampler::SampleIntoW) at the global parameterized
+// total W'_s = α·(W_s + Σ_{t≠s} W̃_t) + β, where W_s is the shard's true
+// total read under its lock and the other shards contribute their
+// seqlock-published totals W̃_t. Each item is then included with
+// probability min{w/W'_s, 1} directly, with no per-item correction; in a
+// quiescent sampler the published totals equal the true totals and W'_s
+// is exactly α·Σw + β for every shard. docs/CONCURRENCY.md has the
+// argument under concurrent writes. Decay is eager in every shard, so the
+// inners' stored weights are the reported ones the totals sum.
 
 #include "concurrent/sharded_sampler.h"
 
@@ -32,6 +32,21 @@ uint64_t MixSeed(uint64_t seed, uint64_t salt) {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
+}
+
+// Why `inner_name` cannot be sharded (Status messages are static strings,
+// hence one per built-in).
+const char* UnshardableReason(const std::string& inner_name) {
+  if (inner_name == "rebuild") {
+    return "sharded[K]:rebuild: fixed (alpha, beta); shard halt or naive";
+  }
+  if (inner_name == "odss") {
+    return "sharded[K]:odss: fixed (alpha, beta); shard halt or naive";
+  }
+  if (inner_name == "bucket_jump") {
+    return "sharded[K]:bucket_jump: fixed (alpha, beta); shard halt or naive";
+  }
+  return "sharded[K]:sharded...: a sharded wrapper cannot be sharded again";
 }
 
 }  // namespace
@@ -58,6 +73,17 @@ StatusOr<std::unique_ptr<Sampler>> ShardedSampler::Create(
     s->shards_[i].inner = std::move(*inner);
     s->shards_[i].rng.Seed(
         MixSeed(spec.seed, static_cast<uint64_t>(i) + 0x51ab1eULL));
+  }
+  // Every shard is sampled at the global denominator through the inner
+  // backend's explicit-denominator query, so probe it once on the
+  // still-empty first shard: an inner without one is rejected here, not at
+  // the first query.
+  std::vector<ItemId> probe;
+  RandomEngine probe_rng(0);
+  if (!s->shards_[0]
+           .inner->SampleIntoW(BigUInt(1), BigUInt(1), probe_rng, &probe)
+           .ok()) {
+    return InvalidArgumentError(UnshardableReason(inner_name));
   }
   s->caps_ = s->shards_[0].inner->capabilities();
   // Snapshots — like decay, sample_distinct and top_k — follow the inner
@@ -261,101 +287,62 @@ BigUInt ShardedSampler::TotalWeight() const {
 
 // --- Queries -------------------------------------------------------------
 
-Status ShardedSampler::DrainShardLocked(const Shard& shard,
-                                        uint64_t shard_index,
-                                        Rational64 alpha, Rational64 beta,
-                                        const BigUInt& observed_total,
-                                        const BigUInt& global_total,
-                                        RandomEngine& rng,
-                                        std::vector<ItemId>* out) const {
-  // Reuse the shard's staging buffer (we hold its exclusive lock), so a
-  // warmed-up query does not pay one allocation per shard. The remaining
-  // per-call allocations (the observed-totals vector, and the per-shard
-  // output buffers of the opt-in parallel drain) are per *query*, not per
-  // shard, and cannot be cached per shard or per thread without breaking
-  // nested "sharded:sharded:x" composition.
+Status ShardedSampler::DrainShard(uint64_t s, const BigUInt& rest,
+                                  Rational64 alpha, Rational64 beta,
+                                  RandomEngine* rng,
+                                  std::vector<ItemId>* out) const {
+  Shard& shard = shards_[s];
+  std::unique_lock<std::shared_mutex> lock(shard.mu);
+  // W'_s = α·(W_s + rest) + β, with W_s the shard's true total under this
+  // lock and `rest` the other shards' published totals.
+  BigUInt wnum, wden;
+  ParameterizedTotal(shard.total + rest, alpha, beta, &wnum, &wden);
+  // The shard's staging buffer is ours while we hold its lock, so a
+  // warmed-up drain allocates nothing.
   std::vector<ItemId>& buf = shard.query_buf;
-  const Status st = shard.inner->SampleInto(alpha, beta, rng, &buf);
+  const Status st = shard.inner->SampleIntoW(
+      wnum, wden, rng != nullptr ? *rng : shard.rng, &buf);
   if (!st.ok()) return st;
-  if (buf.empty()) return Status::Ok();
-
-  // Shard denominator numerator N_s and global numerator N' over the
-  // common denominator α.den·β.den:
-  //   N_s = α.num·W_s·β.den + β.num·α.den          (A_s = α·W_s + β)
-  //   N'  = N_s + α.num·(W̃ - W_s^pub)·β.den       (A' = α·W̃_s + β)
-  // with W_s the true shard total under this lock and W̃ - W_s^pub the
-  // other shards' published mass. N' >= N_s always (published totals are
-  // non-negative), so every thinning ratio below is a probability.
-  const BigUInt beta_term =
-      BigUInt::FromU128(static_cast<unsigned __int128>(beta.num) *
-                        alpha.den);
-  const BigUInt ns =
-      BigUInt::MulU64(BigUInt::MulU64(shard.total, alpha.num), beta.den) +
-      beta_term;
-  const BigUInt rest = global_total - observed_total;
-  const BigUInt nprime =
-      ns + BigUInt::MulU64(BigUInt::MulU64(rest, alpha.num), beta.den);
-
-  if (ns == nprime) {
-    // α == 0 or no other shard carries weight: the inner draw already used
-    // the exact global denominator. No thinning, no per-item work.
-    for (const ItemId inner_id : buf) {
-      out->push_back(TranslateOut(shard_index, inner_id));
-    }
-    return Status::Ok();
-  }
-
-  const unsigned __int128 scale =
-      static_cast<unsigned __int128>(alpha.den) * beta.den;
-  for (const ItemId inner_id : buf) {
-    const StatusOr<Weight> w = shard.inner->GetWeight(inner_id);
-    DPSS_CHECK(w.ok());  // sampled under this lock, so necessarily live
-    // w·α.den·β.den, comparable against N_s / N' over the common
-    // denominator.
-    const BigUInt wnum =
-        BigUInt::Mul(w->ToBigUInt(), BigUInt::FromU128(scale));
-    bool accept;
-    if (wnum >= ns) {
-      // Clamped inside the shard (p_inner = 1): accept with the full
-      // target probability min{w / A', 1}.
-      accept = SampleBernoulliRational(wnum, nprime, rng);
-    } else {
-      // p_inner = w/A_s, target w/A': accept with A_s/A' = N_s/N',
-      // independent of w.
-      accept = SampleBernoulliRational(ns, nprime, rng);
-    }
-    if (accept) out->push_back(TranslateOut(shard_index, inner_id));
-  }
+  for (const ItemId inner_id : buf) out->push_back(TranslateOut(s, inner_id));
   return Status::Ok();
 }
 
-Status ShardedSampler::SampleInto(Rational64 alpha, Rational64 beta,
-                                  std::vector<ItemId>* out) {
+Status ShardedSampler::Query(Rational64 alpha, Rational64 beta,
+                             RandomEngine* rng,
+                             std::vector<ItemId>* out) const {
   Status st = ValidateQueryArgs(alpha, beta, out);
   if (!st.ok()) return st;
   out->clear();
 
-  std::vector<BigUInt> observed(num_shards_);
+  // Per-thread staging for the observed totals: a thread runs one wrapper
+  // query at a time (wrappers do not nest), so a warmed-up query allocates
+  // nothing here.
+  thread_local std::vector<BigUInt> observed_buf;
+  observed_buf.resize(num_shards_);
+  // Pool workers must read the caller's buffer, not their own thread_local.
+  const BigUInt* observed = observed_buf.data();
   BigUInt global_total;
   for (uint64_t s = 0; s < num_shards_; ++s) {
-    observed[s] = ReadShardTotal(shards_[s]);
-    global_total = global_total + observed[s];
+    observed_buf[s] = ReadShardTotal(shards_[s]);
+    global_total = global_total + observed_buf[s];
   }
-  // Rotate the visiting order so concurrent queries pipeline across the
-  // shards instead of convoying behind one another.
-  const uint64_t start =
-      query_offset_.fetch_add(1, std::memory_order_relaxed) % num_shards_;
 
-  if (pool_ != nullptr) {
+  // A caller-owned engine fixes the visiting order (the deterministic
+  // variant); otherwise the start rotates so concurrent queries pipeline
+  // across the shards instead of convoying behind one another.
+  const uint64_t start =
+      rng != nullptr
+          ? 0
+          : query_offset_.fetch_add(1, std::memory_order_relaxed) %
+                num_shards_;
+
+  if (rng == nullptr && pool_ != nullptr) {
     std::vector<std::vector<ItemId>> per_shard(num_shards_);
     std::vector<Status> statuses(num_shards_);
     pool_->ParallelFor(static_cast<int>(num_shards_), [&](int i) {
       const uint64_t s = (start + static_cast<uint64_t>(i)) % num_shards_;
-      Shard& shard = shards_[s];
-      std::unique_lock<std::shared_mutex> lock(shard.mu);
-      statuses[s] = DrainShardLocked(shard, s, alpha, beta, observed[s],
-                                     global_total, shard.rng,
-                                     &per_shard[s]);
+      statuses[s] = DrainShard(s, global_total - observed[s], alpha, beta,
+                               nullptr, &per_shard[s]);
     });
     for (uint64_t s = 0; s < num_shards_; ++s) {
       if (!statuses[s].ok()) {
@@ -369,10 +356,7 @@ Status ShardedSampler::SampleInto(Rational64 alpha, Rational64 beta,
 
   for (uint64_t i = 0; i < num_shards_; ++i) {
     const uint64_t s = (start + i) % num_shards_;
-    Shard& shard = shards_[s];
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    st = DrainShardLocked(shard, s, alpha, beta, observed[s], global_total,
-                          shard.rng, out);
+    st = DrainShard(s, global_total - observed[s], alpha, beta, rng, out);
     if (!st.ok()) {
       out->clear();
       return st;
@@ -382,30 +366,14 @@ Status ShardedSampler::SampleInto(Rational64 alpha, Rational64 beta,
 }
 
 Status ShardedSampler::SampleInto(Rational64 alpha, Rational64 beta,
+                                  std::vector<ItemId>* out) {
+  return Query(alpha, beta, nullptr, out);
+}
+
+Status ShardedSampler::SampleInto(Rational64 alpha, Rational64 beta,
                                   RandomEngine& rng,
                                   std::vector<ItemId>* out) const {
-  Status st = ValidateQueryArgs(alpha, beta, out);
-  if (!st.ok()) return st;
-  out->clear();
-
-  std::vector<BigUInt> observed(num_shards_);
-  BigUInt global_total;
-  for (uint64_t s = 0; s < num_shards_; ++s) {
-    observed[s] = ReadShardTotal(shards_[s]);
-    global_total = global_total + observed[s];
-  }
-  // Deterministic variant: fixed visiting order, one caller-owned engine.
-  for (uint64_t s = 0; s < num_shards_; ++s) {
-    const Shard& shard = shards_[s];
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    st = DrainShardLocked(shard, s, alpha, beta, observed[s], global_total,
-                          rng, out);
-    if (!st.ok()) {
-      out->clear();
-      return st;
-    }
-  }
-  return Status::Ok();
+  return Query(alpha, beta, &rng, out);
 }
 
 // --- Decay / distinct draws / ranked reads -------------------------------
@@ -420,12 +388,14 @@ Status ShardedSampler::Decay(Rational64 factor) {
   for (uint64_t s = 0; s < num_shards_; ++s) {
     Shard& shard = shards_[s];
     std::unique_lock<std::shared_mutex> lock(shard.mu);
-    st = shard.inner->Decay(factor);
+    // The base class's eager rewrite: "halt"'s own Decay would leave the
+    // factor pending and sample unfloored weights against the floored
+    // totals the global denominator is built from.
+    st = shard.inner->Sampler::Decay(factor);
     if (!st.ok()) return st;  // shards [0, s) keep their decayed weights
-    // Re-derive rather than scale the cached copy: the inner backend
-    // floors per item (or keeps exact pending metadata), and the cached
-    // total must mirror inner TotalWeight() bit-exactly for
-    // CheckInvariants.
+    // Re-derive rather than scale the cached copy: the rewrite floors per
+    // item, and the cached total must mirror inner TotalWeight()
+    // bit-exactly for CheckInvariants.
     shard.total = shard.inner->TotalWeight();
     PublishTotalLocked(shard);
   }
@@ -461,10 +431,10 @@ Status ShardedSampler::SampleDistinct(uint64_t k,
   // Each round: pick the owning shard with probability T_s/T, then let the
   // shard draw one distinct item with its inner law w_x/T_s — the product
   // is exactly w_x/T, the single-structure without-replacement marginal
-  // (bit-exact whenever the inner observable weights are exact, i.e.
-  // everywhere outside mid-decay floor loss). The drawn item is parked at
-  // weight zero so later rounds exclude it; parking is scale-invariant,
-  // so the shards' cached totals need no republish.
+  // (the shards' stored weights are their reported ones, see Decay). The
+  // drawn item is parked at weight zero so later rounds exclude it;
+  // parking is scale-invariant, so the shards' cached totals need no
+  // republish.
   std::vector<std::tuple<uint64_t, ItemId, Weight>> parked;
   parked.reserve(static_cast<size_t>(k));
   Status st = Status::Ok();
@@ -635,6 +605,17 @@ Status ShardedSampler::Restore(const std::string& bytes) {
     if (!inner.ok()) return inner.status();
     Status st = (*inner)->Restore(bytes.substr(pos, len));
     if (!st.ok()) return st;
+    // A "halt" section with a pending decay factor (envelope "DPSSDK01",
+    // written before Decay was eager here): setting every item to its
+    // reported weight materializes the floors.
+    if (bytes.compare(pos, 8, "DPSSDK01") == 0) {
+      std::vector<ItemRecord> items;
+      st = (*inner)->DumpItems(&items);
+      for (size_t i = 0; st.ok() && i < items.size(); ++i) {
+        st = (*inner)->SetWeight(items[i].id, items[i].weight);
+      }
+      if (!st.ok()) return st;
+    }
     pos += len;
     fresh[s] = std::move(*inner);
   }

@@ -11,15 +11,17 @@
 /// shards instead of serializing globally.
 ///
 /// The wrapper stays **exactly weighted** even though no global lock ever
-/// freezes a cross-shard snapshot: each shard's contribution is drawn by
-/// the inner sampler against the shard-local total and then thinned with
-/// exact Bernoulli coins against the global denominator (rejection against
-/// the shard's true total, read under its lock, plus the other shards'
-/// lock-free published totals). In a quiescent sampler this reproduces the
-/// single-structure distribution bit-exactly in distribution; under
+/// freezes a cross-shard snapshot: each shard is sampled by its inner
+/// backend's explicit-denominator query (`Sampler::SampleIntoW`) directly
+/// at the global denominator α·(W_s + Σ_{t≠s} W̃_t) + β, with the shard's
+/// true total W_s read under its lock and the other shards' lock-free
+/// published totals W̃_t. A query costs K per-shard floors plus O(μ). In
+/// a quiescent sampler this is the single-structure distribution; under
 /// concurrent writes every item is still included with probability
 /// `min{w / (α·W̃ + β), 1}` for a global total W̃ inside the concurrent
-/// window. See `docs/CONCURRENCY.md` for the full argument.
+/// window. See `docs/CONCURRENCY.md` for the argument. The inner backend
+/// must be parameterized ("halt", "naive"): fixed-(α, β) inners and nested
+/// wrappers are rejected at construction with `kInvalidArgument`.
 ///
 /// Construction goes through the registry: `MakeSampler("sharded:halt",
 /// spec)` (shard count from `SamplerSpec::num_shards`) or
@@ -56,8 +58,8 @@ namespace dpss {
 /// shard's writer lock; `Contains`/`GetWeight`/`TotalWeight` take reader
 /// locks; `size()` is lock-free. Queries need the writer lock because the
 /// inner backends' query paths reuse per-structure scratch state (HALT's
-/// pooled `QueryScratch`, bucket_jump's lazy rebuild) — see
-/// `docs/CONCURRENCY.md` for the per-backend table.
+/// pooled `QueryScratch`) — see `docs/CONCURRENCY.md` for the per-backend
+/// table.
 ///
 /// \par Capabilities
 /// `parameterized`, `float_weights`, `snapshots`, `decay`,
@@ -65,7 +67,8 @@ namespace dpss {
 /// Serialize/Restore capture every shard as its own section,
 /// locking one shard at a time (see those methods for the consistency
 /// contract). `expected_size` is not offered (it would need a frozen
-/// cross-shard cut per query, a documented non-goal).
+/// cross-shard cut per query, a documented non-goal), and neither is
+/// `SampleIntoW` (the wrapper is never itself an inner backend).
 class ShardedSampler final : public Sampler {
  public:
   /// One shard's occupancy as reported by ShardOccupancy(): the live-item
@@ -96,7 +99,9 @@ class ShardedSampler final : public Sampler {
   ///   per shard); `num_threads` sizes the parallel-drain pool (0 = one
   ///   thread per shard up to the hardware concurrency, 1 = no pool).
   /// \return The sampler, or `kInvalidArgument` naming the offending spec
-  ///   field / an error from the inner backend's own construction.
+  ///   field, an inner backend that cannot be sharded (fixed-(α, β) or
+  ///   itself sharded), or an error from the inner backend's own
+  ///   construction.
   static StatusOr<std::unique_ptr<Sampler>> Create(
       const std::string& registry_key, const std::string& inner_name,
       int num_shards, const SamplerSpec& spec);
@@ -143,12 +148,13 @@ class ShardedSampler final : public Sampler {
   Status SampleInto(Rational64 alpha, Rational64 beta, RandomEngine& rng,
                     std::vector<ItemId>* out) const override;
 
-  /// Forwards the decay to every shard in index order, each under its
-  /// writer lock, republishing the shard total after each one. The factor
-  /// is identical across shards, so relative weights between shards are
-  /// preserved exactly (up to the library-wide floor semantics). On an
-  /// inner error the already-visited shards keep their decayed weights
-  /// (the same partial-application caveat as the base contract).
+  /// Rewrites every shard's weights to `FloorScaleWeight(w, factor)`,
+  /// eagerly (O(n)) even on "halt", in index order under each writer lock
+  /// and republishing each shard total. The wrapper thus samples by its
+  /// reported (floored) weights, where a bare "halt" applies a pending
+  /// factor exactly. On an inner error the already-visited shards keep
+  /// their decayed weights (the base contract's partial-application
+  /// caveat).
   Status Decay(Rational64 factor) override;
 
   /// Exact cross-shard sampling without replacement. Holds *every*
@@ -181,7 +187,7 @@ class ShardedSampler final : public Sampler {
   /// taken from the same configuration (shard count and inner backend);
   /// `kBadSnapshot` otherwise, with the current state untouched — fresh
   /// inner samplers are fully built from the image before any shard is
-  /// swapped.
+  /// swapped. A "halt" section's pending decay factor is materialized.
   Status Restore(const std::string& bytes) override;
   /// Collects every shard's arena images in shard order (each shard's
   /// images are contiguous), taking each shard's lock in turn — the same
@@ -257,15 +263,18 @@ class ShardedSampler final : public Sampler {
   // reader-locked copy while the shard is in the big-total regime.
   static BigUInt ReadShardTotal(const Shard& shard);
 
-  // Queries one shard under its exclusive lock and appends the accepted,
-  // translated ids to *out. `observed_total` is the shard total used in
-  // `global_total`; the thinning coins re-read the true total under the
-  // lock (see file comment).
-  Status DrainShardLocked(const Shard& shard, uint64_t shard_index,
-                          Rational64 alpha, Rational64 beta,
-                          const BigUInt& observed_total,
-                          const BigUInt& global_total, RandomEngine& rng,
-                          std::vector<ItemId>* out) const;
+  // Samples shard s under its exclusive lock at the global denominator
+  // α·(W_s + rest) + β, where `rest` is the other shards' published mass,
+  // and appends the translated ids to *out. A null `rng` selects the
+  // shard's own engine.
+  Status DrainShard(uint64_t s, const BigUInt& rest, Rational64 alpha,
+                    Rational64 beta, RandomEngine* rng,
+                    std::vector<ItemId>* out) const;
+  // The one query path behind both SampleInto overloads: a null `rng`
+  // rotates the visiting order (and uses the drain pool when present); a
+  // caller engine visits shards in index order with that engine.
+  Status Query(Rational64 alpha, Rational64 beta, RandomEngine* rng,
+               std::vector<ItemId>* out) const;
 
   const std::string key_;
   // Inner backend name and construction spec, kept so Restore can build

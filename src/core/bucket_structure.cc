@@ -56,9 +56,12 @@ uint64_t BucketStructure::AllocExtent(uint32_t capacity) {
 
 void BucketStructure::GrowBucket(int bucket) {
   if (headers()[bucket].capacity == 0) {
+    // Allocate before taking the header reference: AllocExtent may move the
+    // arena that holds the headers.
+    const uint64_t offset = AllocExtent(kMinExtentEntries);
     BucketHeader& h = headers()[bucket];
     h.capacity = kMinExtentEntries;
-    h.offset = AllocExtent(h.capacity);
+    h.offset = offset;
     MarkHeaderDirty(bucket);
     return;
   }

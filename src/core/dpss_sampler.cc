@@ -310,19 +310,6 @@ void DpssSampler::SetUseBlockRng(bool v) {
   if (next_halt_ != nullptr) next_halt_->SetUseBlockRng(v);
 }
 
-void DpssSampler::ComputeW(Rational64 alpha, Rational64 beta, BigUInt* num,
-                           BigUInt* den) const {
-  DPSS_CHECK(alpha.den > 0 && beta.den > 0);
-  // W = (alpha.num·Σw·beta.den + beta.num·alpha.den) / (alpha.den·beta.den)
-  const BigUInt term1 =
-      BigUInt::MulU64(BigUInt::MulU64(total_weight(), alpha.num), beta.den);
-  const BigUInt term2 =
-      BigUInt::FromU128(static_cast<unsigned __int128>(beta.num) * alpha.den);
-  *num = term1 + term2;
-  *den = BigUInt::FromU128(static_cast<unsigned __int128>(alpha.den) *
-                           beta.den);
-}
-
 std::vector<DpssSampler::ItemId> DpssSampler::Sample(Rational64 alpha,
                                                      Rational64 beta) {
   return Sample(alpha, beta, rng_);

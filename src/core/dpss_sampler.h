@@ -166,20 +166,22 @@ class DpssSampler {
 
   // The parameterized total weight W_S(α,β) = α·Σw + β as an exact rational.
   void ComputeW(Rational64 alpha, Rational64 beta, BigUInt* num,
-                BigUInt* den) const;
+                BigUInt* den) const {
+    ParameterizedTotal(total_weight(), alpha, beta, num, den);
+  }
 
   // One PSS query against an explicit parameterized total W = wnum/wden
   // (p_x = min{w(x)·wden/wnum, 1}): the core that SampleInto wraps after
   // ComputeW. Callers that must adjust W beyond the (α, β) form — e.g. the
-  // interface layer's lazy decay, which rescales β by the pending factor —
-  // compute their own rational and come in here. Requires wden > 0.
+  // interface layer's lazy decay, which rescales W by the pending factor,
+  // and the sharded wrapper's global denominator — compute their own
+  // rational and come in here. Requires wden > 0.
   void SampleIntoW(const BigUInt& wnum, const BigUInt& wden,
                    RandomEngine& rng, std::vector<ItemId>* out) const;
-  // Same, with the sampler-owned engine.
-  void SampleIntoW(const BigUInt& wnum, const BigUInt& wden,
-                   std::vector<ItemId>* out) {
-    SampleIntoW(wnum, wden, rng_, out);
-  }
+
+  // The sampler-owned engine behind the engine-less overloads, for wrappers
+  // that route every query through the engine-taking ones.
+  RandomEngine& engine() { return rng_; }
 
   // μ for an explicit parameterized total W = wnum/wden; the core that
   // ExpectedSampleSize wraps after ComputeW.

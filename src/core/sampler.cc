@@ -52,6 +52,16 @@ Status Sampler::ValidateQueryArgs(Rational64 alpha, Rational64 beta,
   return Status::Ok();
 }
 
+Status Sampler::ValidateDenominator(const BigUInt& wden, const void* out) {
+  if (wden.IsZero()) {
+    return InvalidArgumentError("explicit denominator with zero wden");
+  }
+  if (out == nullptr) {
+    return InvalidArgumentError("null output pointer");
+  }
+  return Status::Ok();
+}
+
 Status Sampler::InsertBatch(std::span<const uint64_t> weights,
                             std::vector<ItemId>* ids) {
   if (ids != nullptr) ids->reserve(ids->size() + weights.size());
@@ -104,6 +114,12 @@ StatusOr<std::vector<ItemId>> Sampler::Sample(Rational64 alpha,
   Status st = SampleInto(alpha, beta, &out);
   if (!st.ok()) return st;
   return out;
+}
+
+Status Sampler::SampleIntoW(const BigUInt& /*wnum*/,
+                            const BigUInt& /*wden*/, RandomEngine& /*rng*/,
+                            std::vector<ItemId>* /*out*/) const {
+  return UnsupportedError("backend has no explicit-denominator query");
 }
 
 StatusOr<double> Sampler::ExpectedSampleSize(Rational64 /*alpha*/,
@@ -327,14 +343,18 @@ namespace {
 // accumulated across calls). Observably:
 //   * GetWeight / TotalWeight / DumpItems report FloorScaleWeight(stored,
 //     f) — the same values an eager rewrite would produce;
-//   * sampling applies f *exactly* (no flooring): p_x = stored_x·f /
-//     (α·f·T + β) = stored_x / W' with W' = α·T + β/f, a pure rational
-//     rewrite of the parameterized total (ComputeDecayedW), so queries
-//     need no flush and stay O(1 + μ);
+//   * sampling applies f *exactly* (no flooring): p_x = stored_x·f / W
+//     = stored_x / (W/f) for the true-unit total W = α·f·T + β, so
+//     SampleInto samples the stored weights against W/f (ComputeStoredW)
+//     and the explicit-denominator entry (SampleIntoW) rescales a
+//     caller's W the same way; queries need no flush and stay O(1 + μ);
 //   * Flush() materializes the floors into the stored weights. Since the
 //     reported values are already the floored ones, a flush changes no
-//     observable value — the invariance the sharded wrapper's per-shard
-//     total bookkeeping relies on.
+//     reported weight or total; the sampling law moves from the exact to
+//     the floored weights. (The sharded wrapper does not use this lazy
+//     path: it decays its shards eagerly, so each shard's stored weights
+//     stay equal to the reported ones its global denominator is built
+//     from.)
 // Inserting or setting a *nonzero* weight under a pending factor flushes
 // first (the new weight must not be scaled); parking at zero and erasing
 // are scale-invariant and skip the flush.
@@ -449,29 +469,33 @@ class HaltBackend final : public Sampler {
 
   Status SampleInto(Rational64 alpha, Rational64 beta,
                     std::vector<ItemId>* out) override {
-    Status st = ValidateQueryArgs(alpha, beta, out);
-    if (!st.ok()) return st;
-    if (!HasPendingDecay()) {
-      sampler_->SampleInto(alpha, beta, out);
-      return Status::Ok();
-    }
-    BigUInt wnum, wden;
-    ComputeDecayedW(alpha, beta, &wnum, &wden);
-    sampler_->SampleIntoW(wnum, wden, out);
-    return Status::Ok();
+    return SampleInto(alpha, beta, sampler_->engine(), out);
   }
 
   Status SampleInto(Rational64 alpha, Rational64 beta, RandomEngine& rng,
                     std::vector<ItemId>* out) const override {
     Status st = ValidateQueryArgs(alpha, beta, out);
     if (!st.ok()) return st;
-    if (!HasPendingDecay()) {
-      sampler_->SampleInto(alpha, beta, rng, out);
-      return Status::Ok();
-    }
     BigUInt wnum, wden;
-    ComputeDecayedW(alpha, beta, &wnum, &wden);
+    ComputeStoredW(alpha, beta, &wnum, &wden);
     sampler_->SampleIntoW(wnum, wden, rng, out);
+    return Status::Ok();
+  }
+
+  // Stored weights are the true ones divided by the pending factor f, so
+  // p_x = stored_x·f/W = stored_x/(W/f): a caller's true-unit W maps to
+  // stored units as W·dden/dnum.
+  Status SampleIntoW(const BigUInt& wnum, const BigUInt& wden,
+                     RandomEngine& rng,
+                     std::vector<ItemId>* out) const override {
+    Status st = ValidateDenominator(wden, out);
+    if (!st.ok()) return st;
+    if (!HasPendingDecay()) {
+      sampler_->SampleIntoW(wnum, wden, rng, out);
+    } else {
+      sampler_->SampleIntoW(BigUInt::MulU64(wnum, dden_),
+                            BigUInt::MulU64(wden, dnum_), rng, out);
+    }
     return Status::Ok();
   }
 
@@ -480,9 +504,8 @@ class HaltBackend final : public Sampler {
     if (alpha.den == 0 || beta.den == 0) {
       return InvalidArgumentError("query parameter with zero denominator");
     }
-    if (!HasPendingDecay()) return sampler_->ExpectedSampleSize(alpha, beta);
     BigUInt wnum, wden;
-    ComputeDecayedW(alpha, beta, &wnum, &wden);
+    ComputeStoredW(alpha, beta, &wnum, &wden);
     return sampler_->ExpectedSampleSizeW(wnum, wden);
   }
 
@@ -653,15 +676,18 @@ class HaltBackend final : public Sampler {
 
   void InvalidateTotalCache() const { total_cache_valid_ = false; }
 
-  // W' = α·T + β/f for pending factor f = dnum_/dden_ and stored total T:
-  // sampling the stored weights against W' realizes p_x = min{stored_x·f /
-  // (α·f·T + β), 1} — the exact parameterized law on the exactly-scaled
-  // (unfloored) decayed weights. All BigUInt, no overflow at any operand
-  // size.
-  void ComputeDecayedW(Rational64 alpha, Rational64 beta, BigUInt* num,
-                       BigUInt* den) const {
-    // num = α.num·T·β.den·dnum + β.num·α.den·dden
-    // den = α.den·β.den·dnum
+  // W = α·Σw + β in stored units. Under a pending factor f = dnum_/dden_
+  // and stored total T that is W' = α·T + β/f: sampling the stored
+  // weights against W' realizes p_x = min{stored_x·f / (α·f·T + β), 1},
+  // the exact parameterized law on the exactly-scaled (unfloored) decayed
+  // weights. All BigUInt, no overflow at any operand size:
+  //   num = α.num·T·β.den·dnum + β.num·α.den·dden,  den = α.den·β.den·dnum.
+  void ComputeStoredW(Rational64 alpha, Rational64 beta, BigUInt* num,
+                      BigUInt* den) const {
+    if (!HasPendingDecay()) {
+      sampler_->ComputeW(alpha, beta, num, den);
+      return;
+    }
     const BigUInt term1 = BigUInt::MulU64(
         BigUInt::MulU64(
             BigUInt::MulU64(sampler_->total_weight(), alpha.num), beta.den),

@@ -325,6 +325,20 @@ class Sampler {
                             RandomEngine& rng,
                             std::vector<ItemId>* out) const = 0;
 
+  /// One PSS query against an explicit parameterized total W = wnum/wden
+  /// in place of α·Σw + β: `*out` is cleared and filled with a subset in
+  /// which each item x appears independently with probability
+  /// `min{w(x)/W, 1}` (every nonzero item when W = 0). The parameterized
+  /// backends answer SampleInto by computing W and calling this; the
+  /// sharded wrapper samples each shard through it at the global
+  /// denominator. O(1 + μ) expected for "halt".
+  /// \return `kInvalidArgument` for wden == 0 or a null out;
+  ///   `kUnsupported` (the default) on the fixed-(α, β) backends and the
+  ///   sharded wrapper.
+  virtual Status SampleIntoW(const BigUInt& wnum, const BigUInt& wden,
+                             RandomEngine& rng,
+                             std::vector<ItemId>* out) const;
+
   /// Convenience wrapper over SampleInto returning a fresh vector.
   StatusOr<std::vector<ItemId>> Sample(Rational64 alpha, Rational64 beta);
 
@@ -439,6 +453,11 @@ class Sampler {
   /// \return `kInvalidArgument` naming the violation, Ok otherwise.
   static Status ValidateQueryArgs(Rational64 alpha, Rational64 beta,
                                   const void* out);
+
+  /// SampleIntoW argument validation: `wden` must be non-zero and `out`
+  /// non-null.
+  /// \return `kInvalidArgument` naming the violation, Ok otherwise.
+  static Status ValidateDenominator(const BigUInt& wden, const void* out);
 
   /// Shared Decay-factor validation: `1 <= num <= den`.
   /// \return `kInvalidArgument` naming the violation, Ok otherwise.

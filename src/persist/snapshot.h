@@ -85,7 +85,7 @@ enum class FrameType : uint8_t {
 /// Everything the header frame records about a snapshot.
 struct SnapshotInfo {
   uint32_t version = 0;     ///< Container version the file was written at.
-  std::string backend;      ///< Registry name ("halt", "sharded8:odss", ...).
+  std::string backend;      ///< Registry name ("halt", "sharded8:halt", ...).
   SamplerSpec spec;         ///< Spec to rebuild the backend with.
   uint64_t size = 0;        ///< Live items at save time.
   BigUInt total_weight;     ///< Exact Σw at save time.

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "core/dpss_sampler.h"
+#include "core/sampler.h"
 #include "util/random.h"
 
 namespace {
@@ -235,6 +236,50 @@ TEST(AllocationCount, ForcedBigIntPathAllocatesWhereFastPathDoesNot) {
   EXPECT_EQ(fast_allocs, 0u);
   EXPECT_GT(slow_allocs, 500u)  // well over one per query
       << "expected the exact path to allocate per coin";
+}
+
+// The sharded wrapper's query path — the dpss-serverd default — samples
+// each shard at the global denominator into the shard's staging buffer,
+// with the observed shard totals staged per thread, so a warmed-up query
+// allocates nothing at either end of the μ range. The μ ≈ 64 gate is
+// windowed for the same first-rung reason as the slab-scan test above.
+TEST(AllocationCount, ShardedQueryIsAllocationFree) {
+  RandomEngine wrng(70);
+  std::vector<uint64_t> weights(1 << 16);
+  for (auto& w : weights) w = 1 + wrng.NextBelow(uint64_t{1} << 20);
+  SamplerSpec spec;
+  spec.seed = 71;
+  spec.num_threads = 1;
+  std::unique_ptr<Sampler> s = MakeSampler("sharded8:halt", spec);
+  ASSERT_NE(s, nullptr);
+  ASSERT_TRUE(s->InsertBatch(weights, nullptr).ok());
+
+  std::vector<ItemId> buf;
+  for (const uint64_t mu : {uint64_t{1}, uint64_t{64}}) {
+    const Rational64 alpha{1, mu};
+    for (int q = 0; q < 2000; ++q) {
+      ASSERT_TRUE(s->SampleInto(alpha, {0, 1}, &buf).ok());
+    }
+
+    bool clean_window = false;
+    std::size_t min_window_allocs = ~std::size_t{0};
+    uint64_t sampled = 0;
+    for (int window = 0; window < 8 && !clean_window; ++window) {
+      const std::size_t before = g_alloc_count;
+      for (int q = 0; q < 50; ++q) {
+        ASSERT_TRUE(s->SampleInto(alpha, {0, 1}, &buf).ok());
+        sampled += buf.size();
+      }
+      const std::size_t allocs = g_alloc_count - before;
+      if (allocs < min_window_allocs) min_window_allocs = allocs;
+      clean_window = allocs == 0;
+    }
+    EXPECT_TRUE(clean_window)
+        << "mu=" << mu << ": no allocation-free window of 50 sharded "
+        << "queries; best window had " << min_window_allocs
+        << " allocations";
+    EXPECT_GT(sampled, 0u);
+  }
 }
 
 }  // namespace

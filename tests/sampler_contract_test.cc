@@ -373,6 +373,52 @@ TEST_P(SamplerContractTest, OptionalApisHonorCapabilityFlags) {
   EXPECT_TRUE(s->CheckInvariants().ok());
 }
 
+// The explicit-denominator query: on a parameterized backend SampleInto
+// is SampleIntoW at W = α·Σw + β, so equal engine states give equal
+// outputs — also under a pending decay, whose rescaling the W entry owns.
+// The fixed-(α, β) backends and the sharded wrapper answer kUnsupported.
+TEST_P(SamplerContractTest, SampleIntoWIsTheParameterizedQuery) {
+  auto s = Make(8);
+  std::vector<uint64_t> weights;
+  for (uint64_t i = 1; i <= 40; ++i) weights.push_back(2 * i * i);
+  ASSERT_TRUE(s->InsertBatch(weights, nullptr).ok());
+  const Rational64 alpha{1, 4};
+  const Rational64 beta{9, 2};
+  const bool sharded = std::string(GetParam()).rfind("sharded", 0) == 0;
+  std::vector<ItemId> via_w, via_ab;
+  RandomEngine rng_w(5), rng_ab(5);
+  BigUInt wnum, wden;
+  ParameterizedTotal(s->TotalWeight(), alpha, beta, &wnum, &wden);
+  const Status st = s->SampleIntoW(wnum, wden, rng_w, &via_w);
+  if (!s->capabilities().parameterized || sharded) {
+    EXPECT_EQ(st.code(), StatusCode::kUnsupported);
+    return;
+  }
+  ASSERT_TRUE(st.ok()) << st.message();
+  EXPECT_EQ(s->SampleIntoW(wnum, BigUInt(), rng_w, &via_w).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(s->SampleIntoW(wnum, wden, rng_w, nullptr).code(),
+            StatusCode::kInvalidArgument);
+
+  uint64_t sampled = 0;
+  for (int round = 0; round < 2; ++round) {
+    if (round == 1) {
+      if (!s->capabilities().decay) break;
+      ASSERT_TRUE(s->Decay({1, 2}).ok());  // even weights: no flooring
+      ParameterizedTotal(s->TotalWeight(), alpha, beta, &wnum, &wden);
+    }
+    rng_w.Seed(round + 11);
+    rng_ab.Seed(round + 11);
+    for (int q = 0; q < 200; ++q) {
+      ASSERT_TRUE(s->SampleIntoW(wnum, wden, rng_w, &via_w).ok());
+      ASSERT_TRUE(s->SampleInto(alpha, beta, rng_ab, &via_ab).ok());
+      ASSERT_EQ(via_w, via_ab) << "round " << round << " query " << q;
+      sampled += via_w.size();
+    }
+  }
+  EXPECT_GT(sampled, 200u);
+}
+
 // W(α, β) = 0 (α = β = 0): every non-zero-weight item has probability
 // min{w/0, 1} = 1 and must be returned; parked items stay out. Runs the
 // fixed-parameter backends with the spec pinned to (0, 0).
@@ -500,13 +546,16 @@ TEST_P(SamplerContractTest, RestoreReplacesStateCompletely) {
 }
 
 // The contract is also the thread-safety wrapper's conformance gate: every
-// registered backend must behave identically behind "sharded<K>:<name>"
+// parameterized backend must behave identically behind "sharded<K>:<name>"
 // (concurrent/sharded_sampler.h) for both a single shard and a sharded
-// configuration. "sharded:halt" additionally exercises the plain grammar
-// that takes the shard count from SamplerSpec::num_shards.
+// configuration. The fixed-(α, β) backends cannot be sharded (rejected at
+// construction, see spec_validation_test.cc). "sharded:halt" additionally
+// exercises the plain grammar that takes the shard count from
+// SamplerSpec::num_shards.
 std::vector<std::string> ContractBackends() {
   std::vector<std::string> names = RegisteredSamplerNames();
   for (const std::string& base : RegisteredSamplerNames()) {
+    if (!MakeSampler(base)->capabilities().parameterized) continue;
     names.push_back("sharded1:" + base);
     names.push_back("sharded8:" + base);
   }

@@ -99,19 +99,26 @@ TEST(SpecValidationTest, ShardedRejectsBadShardAndThreadCounts) {
 
 TEST(SpecValidationTest, ShardedPropagatesInnerDiagnostics) {
   SamplerSpec spec;
-  spec.fixed_alpha = {1, 0};
-  auto s = MakeSamplerChecked("sharded4:rebuild", spec);
-  ASSERT_FALSE(s.ok());
-  EXPECT_TRUE(MessageMentions(s.status(), "fixed_alpha"));
-
-  spec = SamplerSpec{};
   spec.migrate_per_update = 0;
-  s = MakeSamplerChecked("sharded4:halt", spec);
+  auto s = MakeSamplerChecked("sharded4:halt", spec);
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(MessageMentions(s.status(), "migrate_per_update"));
 
   EXPECT_FALSE(MakeSamplerChecked("sharded4:nope").ok());
   EXPECT_EQ(MakeSampler("sharded4:nope"), nullptr);
+}
+
+// The wrapper samples every shard at the global denominator, so an inner
+// backend that answers only its fixed (α, β) cannot be sharded: rejected
+// at construction, naming the wrapper and the inner.
+TEST(SpecValidationTest, ShardedRejectsFixedParameterInners) {
+  for (const char* inner : {"rebuild", "odss", "bucket_jump"}) {
+    const auto s = MakeSamplerChecked(std::string("sharded4:") + inner);
+    ASSERT_FALSE(s.ok()) << inner;
+    EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument) << inner;
+    EXPECT_TRUE(MessageMentions(s.status(), "sharded")) << inner;
+    EXPECT_TRUE(MessageMentions(s.status(), inner)) << s.status().message();
+  }
 }
 
 TEST(SpecValidationTest, ShardedNameGrammar) {
@@ -129,8 +136,12 @@ TEST(SpecValidationTest, ShardedNameGrammar) {
   EXPECT_STREQ((*s)->name(), "sharded:naive");
   EXPECT_NE((*s)->DebugString().find("shards=2"), std::string::npos);
 
-  // Nested composition is allowed (each layer is itself a valid backend).
-  EXPECT_TRUE(MakeSamplerChecked("sharded2:sharded2:naive").ok());
+  // Nested composition is rejected: the inner wrapper has no
+  // explicit-denominator query to sample at.
+  s = MakeSamplerChecked("sharded2:sharded2:naive");
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(MessageMentions(s.status(), "sharded[K]:sharded"));
 
   // Not the grammar: no colon, or junk between the prefix and the colon.
   EXPECT_FALSE(MakeSamplerChecked("sharded").ok());

@@ -22,6 +22,7 @@
 #include "persist/recovery.h"
 #include "tests/statistical.h"
 #include "tests/test_util.h"
+#include "util/little_endian.h"
 #include "util/random.h"
 
 namespace dpss {
@@ -188,6 +189,61 @@ TEST_P(WorkloadApisTest, DecayMatchesExplicitSetWeightLoop) {
   EXPECT_TRUE(manual->CheckInvariants().ok());
 }
 
+// --- Decay: the sampling law on the decayed weights ----------------------
+//
+// After Decay, queries must follow min{w'/(α·Σw' + β), 1} on the decayed
+// weights w'. On "halt" the factor is pending metadata that the query
+// folds into W — the conversion this gate pins down. Weights are multiples
+// of 16, so two rounds of 3/4 floor nothing, and the heavy items clamp at
+// probability 1. The fixed-(α, β) backends get the same (α, β) through
+// their spec. ShardedDecayLawTest below covers weights that do floor.
+TEST_P(WorkloadApisTest, SamplingLawHoldsAfterDecay) {
+  const Rational64 alpha{1, 16};
+  const Rational64 beta{50, 1};
+  SamplerSpec spec;
+  spec.seed = 314;
+  spec.fixed_alpha = alpha;
+  spec.fixed_beta = beta;
+  std::unique_ptr<Sampler> s = MakeSampler(GetParam(), spec);
+  ASSERT_NE(s, nullptr);
+  if (!s->capabilities().decay) GTEST_SKIP();
+
+  const std::vector<uint64_t> units = {1,  2,  3,  5,   8,   13,
+                                       21, 34, 55, 89, 144, 400};
+  std::vector<uint64_t> weights;
+  for (const uint64_t u : units) weights.push_back(16 * u);
+  std::vector<ItemId> ids;
+  ASSERT_TRUE(s->InsertBatch(weights, &ids).ok());
+  ASSERT_TRUE(s->Decay({3, 4}).ok());
+  ASSERT_TRUE(s->Decay({3, 4}).ok());
+
+  double total = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(s->GetWeight(ids[i])->mult, 9 * units[i]) << "item " << i;
+    total += static_cast<double>(9 * units[i]);
+  }
+  const double w_param = alpha.ToDouble() * total + beta.ToDouble();
+  std::vector<double> probs(ids.size());
+  int clamped = 0;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    probs[i] = std::min(static_cast<double>(9 * units[i]) / w_param, 1.0);
+    clamped += probs[i] == 1.0;
+  }
+  ASSERT_GE(clamped, 2) << "test design: the law must clamp some items";
+
+  const uint64_t trials = 20000;
+  std::vector<uint64_t> hits(ids.size(), 0);
+  std::vector<ItemId> out;
+  for (uint64_t t = 0; t < trials; ++t) {
+    ASSERT_TRUE(s->SampleInto(alpha, beta, &out).ok());
+    for (const ItemId id : out) {
+      for (size_t i = 0; i < ids.size(); ++i) hits[i] += id == ids[i];
+    }
+  }
+  ExpectFrequencyGate(hits, trials, probs, 4.75,
+                      GetParam() + "/SampleInto after Decay");
+}
+
 // Decay through ApplyBatch: one kDecay op among ordinary mutations applies
 // at its position in the batch, identically to the direct call.
 TEST_P(WorkloadApisTest, DecayInsideApplyBatchAppliesInOrder) {
@@ -322,6 +378,128 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string>& info) {
       return testing_util::GTestNameFromBackend(info.param);
     });
+
+// --- Decay with flooring: "halt" vs the sharded wrapper -------------------
+//
+// When a decay floors, a bare "halt" keeps sampling the exact (unfloored)
+// weights w·f against α·f·Σw + β, while the sharded wrapper — which builds
+// its global denominator from the shards' reported totals — decays eagerly
+// and samples by the reported, floored weights, like "naive".
+
+// Odd weights under Decay(1/2): the light items lose half a unit each and
+// the weight-1 item parks at 0. The heavy items clamp at probability 1.
+TEST(ShardedDecayLawTest, ShardedSamplesReportedWeights) {
+  const Rational64 alpha{1, 16};
+  const Rational64 beta{2, 1};
+  std::vector<uint64_t> weights;
+  for (uint64_t w = 1; w < 32; w += 2) weights.push_back(w);
+  weights.push_back(301);
+  weights.push_back(501);
+
+  for (const std::string name :
+       {"halt", "naive", "sharded1:halt", "sharded8:halt", "sharded4:naive"}) {
+    SamplerSpec spec;
+    spec.seed = 2718;
+    std::unique_ptr<Sampler> s = MakeSampler(name, spec);
+    ASSERT_NE(s, nullptr) << name;
+    std::vector<ItemId> ids;
+    ASSERT_TRUE(s->InsertBatch(weights, &ids).ok());
+    ASSERT_TRUE(s->Decay({1, 2}).ok());
+
+    // Every backend reports the floored weights; only a bare "halt"
+    // samples the exact halves.
+    const bool exact = name == "halt";
+    std::vector<double> w(ids.size());
+    double total = 0;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_EQ(s->GetWeight(ids[i])->mult, weights[i] / 2) << name;
+      w[i] = exact ? weights[i] / 2.0 : static_cast<double>(weights[i] / 2);
+      total += w[i];
+    }
+    const double w_param = alpha.ToDouble() * total + beta.ToDouble();
+
+    const uint64_t trials = 20000;
+    std::vector<uint64_t> hits(ids.size(), 0);
+    std::vector<ItemId> out;
+    for (uint64_t t = 0; t < trials; ++t) {
+      ASSERT_TRUE(s->SampleInto(alpha, beta, &out).ok());
+      for (const ItemId id : out) {
+        for (size_t i = 0; i < ids.size(); ++i) hits[i] += id == ids[i];
+      }
+    }
+    // A weight-0 item is never returned; the rest go through the gate.
+    std::vector<uint64_t> gated_hits;
+    std::vector<double> probs;
+    int clamped = 0;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (w[i] == 0) {
+        EXPECT_EQ(hits[i], 0u) << name << ": parked item " << i;
+        continue;
+      }
+      gated_hits.push_back(hits[i]);
+      probs.push_back(std::min(w[i] / w_param, 1.0));
+      clamped += probs.back() == 1.0;
+    }
+    ASSERT_EQ(clamped, 2) << name << ": test design: two items must clamp";
+    ExpectFrequencyGate(gated_hits, trials, probs, 4.75,
+                        name + "/SampleInto after a flooring Decay");
+  }
+}
+
+// The smallest flooring case: every weight decays to 0, so the wrapper's
+// total is 0 and the query (α = 1, β = 0) returns nothing, where a bare
+// "halt" still returns each item with probability 1/n.
+TEST(ShardedDecayLawTest, FullyFlooredShardsReturnNothing) {
+  for (const std::string name : {"sharded1:halt", "sharded8:halt"}) {
+    std::unique_ptr<Sampler> s = MakeSampler(name);
+    ASSERT_NE(s, nullptr) << name;
+    ASSERT_TRUE(s->InsertBatch(std::vector<uint64_t>(64, 1), nullptr).ok());
+    ASSERT_TRUE(s->Decay({1, 2}).ok());
+    EXPECT_TRUE(s->TotalWeight().IsZero()) << name;
+    std::vector<ItemId> out;
+    for (int t = 0; t < 100; ++t) {
+      ASSERT_TRUE(s->SampleInto({1, 1}, {0, 1}, &out).ok());
+      ASSERT_TRUE(out.empty()) << name << ": returned " << out.size();
+    }
+    EXPECT_TRUE(s->CheckInvariants().ok()) << name;
+  }
+}
+
+// A sharded snapshot whose "halt" section still carries a pending decay
+// factor (the layout written while the wrapper forwarded Decay lazily)
+// restores with the factor materialized, so the wrapper's totals and its
+// sampling law agree again.
+TEST(ShardedDecayLawTest, RestoreMaterializesPendingHaltSection) {
+  std::unique_ptr<Sampler> halt = MakeSampler("halt");
+  ASSERT_NE(halt, nullptr);
+  ASSERT_TRUE(halt->InsertBatch(std::vector<uint64_t>(64, 1), nullptr).ok());
+  ASSERT_TRUE(halt->Decay({1, 2}).ok());
+  std::string section;
+  ASSERT_TRUE(halt->Serialize(&section).ok());
+  ASSERT_EQ(section.compare(0, 8, "DPSSDK01"), 0) << "factor must be pending";
+
+  // The sharded image: magic "DPSSSHD1", shard count, inner name, then
+  // one length-prefixed section per shard.
+  std::string image;
+  AppendU64(&image, 0x3144485353535044ULL);
+  AppendU64(&image, 1);
+  AppendU16(&image, 4);
+  image += "halt";
+  AppendU64(&image, section.size());
+  image += section;
+
+  std::unique_ptr<Sampler> s = MakeSampler("sharded1:halt");
+  ASSERT_NE(s, nullptr);
+  ASSERT_TRUE(s->Restore(image).ok());
+  EXPECT_EQ(s->size(), 64u);
+  EXPECT_TRUE(s->TotalWeight().IsZero());
+  std::vector<ItemId> out;
+  for (int t = 0; t < 100; ++t) {
+    ASSERT_TRUE(s->SampleInto({1, 1}, {0, 1}, &out).ok());
+    ASSERT_TRUE(out.empty()) << "returned " << out.size();
+  }
+  EXPECT_TRUE(s->CheckInvariants().ok());
+}
 
 // --- Durability: a pending decay epoch survives crash + recovery ----------
 

@@ -269,8 +269,9 @@ int main() {
       for (const std::string& name : dpss::RegisteredSamplerNames()) {
         std::printf("%s %s\n", name == backend ? "*" : " ", name.c_str());
       }
-      std::printf("  sharded[K]:<inner>  (thread-safe wrapper; K from "
-                  "'shards' when omitted)\n");
+      std::printf("  sharded[K]:<inner>  (thread-safe wrapper over a "
+                  "parameterized inner: halt or naive; K from 'shards' "
+                  "when omitted)\n");
     } else if (cmd == "shards" || cmd == "threads") {
       // Validate against the sampler's real bounds up front, so the value
       // is not confirmed here only to fail at the next 'backend' command.
