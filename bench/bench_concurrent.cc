@@ -49,7 +49,6 @@ void SetupShared() {
   dpss::SamplerSpec spec;
   spec.seed = 0xbeefcafe;
   spec.num_shards = kNumShards;
-  spec.num_threads = 1;  // concurrency comes from the caller threads
   auto work = std::make_unique<Workload>();
   work->sampler = dpss::MakeSampler("sharded:halt", spec);
   const std::vector<uint64_t> weights = dpss::bench::MakeWeights(

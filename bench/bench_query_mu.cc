@@ -99,7 +99,6 @@ void BM_ShardedQueryByMu(benchmark::State& state) {
       dpss::bench::MakeWeights(kN, dpss::bench::WeightDist::kUniform, 1);
   dpss::SamplerSpec spec;
   spec.seed = 2;
-  spec.num_threads = 1;
   const std::string name =
       shards == 0 ? "halt" : "sharded" + std::to_string(shards) + ":halt";
   std::unique_ptr<dpss::Sampler> s = dpss::MakeSampler(name, spec);

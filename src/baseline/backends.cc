@@ -110,7 +110,7 @@ Status FlatFromLoads(std::vector<ArenaLoad>&& loads, FlatTable* t) {
 class NaiveBackend final : public Sampler {
  public:
   explicit NaiveBackend(const SamplerSpec& spec)
-      : naive_(spec.exact_arithmetic), rng_(spec.seed) {
+      : rng_(spec.seed) {
     SeedFallbackRng(spec.seed);
   }
 

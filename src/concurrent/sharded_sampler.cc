@@ -13,7 +13,7 @@
 #include "concurrent/sharded_sampler.h"
 
 #include <algorithm>
-#include <thread>
+#include <mutex>
 #include <tuple>
 #include <utility>
 
@@ -58,10 +58,6 @@ StatusOr<std::unique_ptr<Sampler>> ShardedSampler::Create(
     return InvalidArgumentError(
         "SamplerSpec::num_shards must be in [1, 4096]");
   }
-  if (spec.num_threads < 0 || spec.num_threads > kMaxThreads) {
-    return InvalidArgumentError(
-        "SamplerSpec::num_threads must be in [0, 256]");
-  }
   std::unique_ptr<ShardedSampler> s(
       new ShardedSampler(registry_key, inner_name, num_shards, spec));
   for (int i = 0; i < num_shards; ++i) {
@@ -91,6 +87,9 @@ StatusOr<std::unique_ptr<Sampler>> ShardedSampler::Create(
   // need a frozen cross-shard cut per query and stays off (documented
   // non-goal).
   s->caps_.expected_size = false;
+  // Every shard is sampled under its own exclusive lock, so callers may
+  // query from many threads at once.
+  s->caps_.concurrent_queries = true;
   return StatusOr<std::unique_ptr<Sampler>>(std::move(s));
 }
 
@@ -102,19 +101,10 @@ ShardedSampler::ShardedSampler(std::string registry_key,
       spec_(spec),
       num_shards_(static_cast<uint64_t>(num_shards)),
       shards_(static_cast<size_t>(num_shards)) {
-  int width = spec.num_threads;
-  if (width == 0) {
-    const int hw = static_cast<int>(std::thread::hardware_concurrency());
-    width = hw > 0 ? hw : 1;
-  }
-  if (width > num_shards) width = num_shards;
-  if (width > 1) pool_ = std::make_unique<ThreadPool>(width);
   // Drives the cross-shard SampleDistinct coins (the per-shard engines
   // are reserved for SampleInto drains).
   SeedFallbackRng(spec.seed);
 }
-
-ShardedSampler::~ShardedSampler() = default;
 
 const char* ShardedSampler::name() const { return key_.c_str(); }
 
@@ -317,14 +307,12 @@ Status ShardedSampler::Query(Rational64 alpha, Rational64 beta,
   // Per-thread staging for the observed totals: a thread runs one wrapper
   // query at a time (wrappers do not nest), so a warmed-up query allocates
   // nothing here.
-  thread_local std::vector<BigUInt> observed_buf;
-  observed_buf.resize(num_shards_);
-  // Pool workers must read the caller's buffer, not their own thread_local.
-  const BigUInt* observed = observed_buf.data();
+  thread_local std::vector<BigUInt> observed;
+  observed.resize(num_shards_);
   BigUInt global_total;
   for (uint64_t s = 0; s < num_shards_; ++s) {
-    observed_buf[s] = ReadShardTotal(shards_[s]);
-    global_total = global_total + observed_buf[s];
+    observed[s] = ReadShardTotal(shards_[s]);
+    global_total = global_total + observed[s];
   }
 
   // A caller-owned engine fixes the visiting order (the deterministic
@@ -335,24 +323,6 @@ Status ShardedSampler::Query(Rational64 alpha, Rational64 beta,
           ? 0
           : query_offset_.fetch_add(1, std::memory_order_relaxed) %
                 num_shards_;
-
-  if (rng == nullptr && pool_ != nullptr) {
-    std::vector<std::vector<ItemId>> per_shard(num_shards_);
-    std::vector<Status> statuses(num_shards_);
-    pool_->ParallelFor(static_cast<int>(num_shards_), [&](int i) {
-      const uint64_t s = (start + static_cast<uint64_t>(i)) % num_shards_;
-      statuses[s] = DrainShard(s, global_total - observed[s], alpha, beta,
-                               nullptr, &per_shard[s]);
-    });
-    for (uint64_t s = 0; s < num_shards_; ++s) {
-      if (!statuses[s].ok()) {
-        out->clear();
-        return statuses[s];
-      }
-      out->insert(out->end(), per_shard[s].begin(), per_shard[s].end());
-    }
-    return Status::Ok();
-  }
 
   for (uint64_t i = 0; i < num_shards_; ++i) {
     const uint64_t s = (start + i) % num_shards_;
@@ -768,9 +738,7 @@ size_t ShardedSampler::ApproxMemoryBytes() const {
 }
 
 std::string ShardedSampler::DebugString() const {
-  return Sampler::DebugString() + " shards=" +
-         std::to_string(num_shards_) + " drain_threads=" +
-         std::to_string(pool_ != nullptr ? pool_->width() : 1);
+  return Sampler::DebugString() + " shards=" + std::to_string(num_shards_);
 }
 
 namespace internal_registry {

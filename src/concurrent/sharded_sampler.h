@@ -37,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "concurrent/thread_pool.h"
 #include "core/sampler.h"
 
 namespace dpss {
@@ -63,7 +62,8 @@ namespace dpss {
 ///
 /// \par Capabilities
 /// `parameterized`, `float_weights`, `snapshots`, `decay`,
-/// `sample_distinct` and `top_k` follow the inner backend —
+/// `sample_distinct` and `top_k` follow the inner backend, and
+/// `concurrent_queries` is always set —
 /// Serialize/Restore capture every shard as its own section,
 /// locking one shard at a time (see those methods for the consistency
 /// contract). `expected_size` is not offered (it would need a frozen
@@ -85,8 +85,6 @@ class ShardedSampler final : public Sampler {
   /// Hard upper bound on `SamplerSpec::num_shards` (sanity bound; the id
   /// encoding itself supports far more).
   static constexpr int kMaxShards = 4096;
-  /// Hard upper bound on `SamplerSpec::num_threads`.
-  static constexpr int kMaxThreads = 256;
 
   /// Builds a sharded sampler whose shards are `inner_name` backends
   /// created through the registry (each with a distinct derived seed).
@@ -96,8 +94,7 @@ class ShardedSampler final : public Sampler {
   /// \param inner_name Registry key of the per-shard backend ("halt", ...).
   /// \param num_shards Shard count K; must be in [1, kMaxShards].
   /// \param spec Forwarded to every inner backend (seeds are re-derived
-  ///   per shard); `num_threads` sizes the parallel-drain pool (0 = one
-  ///   thread per shard up to the hardware concurrency, 1 = no pool).
+  ///   per shard).
   /// \return The sampler, or `kInvalidArgument` naming the offending spec
   ///   field, an inner backend that cannot be sharded (fixed-(α, β) or
   ///   itself sharded), or an error from the inner backend's own
@@ -106,13 +103,10 @@ class ShardedSampler final : public Sampler {
       const std::string& registry_key, const std::string& inner_name,
       int num_shards, const SamplerSpec& spec);
 
-  /// Joins the drain pool (no locks held; no shard may be in use).
-  ~ShardedSampler() override;
-
   /// The registry key this instance was created under.
   const char* name() const override;
-  /// Inner backend capabilities minus snapshots/expected-size (see class
-  /// docs).
+  /// Inner backend capabilities minus expected-size, plus
+  /// `concurrent_queries` (see class docs).
   Capabilities capabilities() const override;
 
   /// Inserts into the least-loaded shard under its writer lock. O(K) to
@@ -138,9 +132,9 @@ class ShardedSampler final : public Sampler {
   /// the concurrent window, not a frozen cut).
   BigUInt TotalWeight() const override;
 
-  /// One exactly-weighted PSS query using per-shard engines; shards are
-  /// visited starting at a rotating offset (and drained by the worker pool
-  /// when `num_threads > 1`).
+  /// One exactly-weighted PSS query using per-shard engines, drained on
+  /// the calling thread; shards are visited starting at a rotating offset
+  /// so concurrent callers pipeline across them.
   Status SampleInto(Rational64 alpha, Rational64 beta,
                     std::vector<ItemId>* out) override;
   /// Deterministic variant: shards are visited in index order, all coins
@@ -222,7 +216,7 @@ class ShardedSampler final : public Sampler {
   Status CheckInvariants() const override;
   /// Sum of the inner backends' footprints plus the wrapper's shard state.
   size_t ApproxMemoryBytes() const override;
-  /// Name, size, total weight, shard count and drain-pool width.
+  /// Name, size, total weight and shard count.
   std::string DebugString() const override;
 
  private:
@@ -271,8 +265,8 @@ class ShardedSampler final : public Sampler {
                     Rational64 beta, RandomEngine* rng,
                     std::vector<ItemId>* out) const;
   // The one query path behind both SampleInto overloads: a null `rng`
-  // rotates the visiting order (and uses the drain pool when present); a
-  // caller engine visits shards in index order with that engine.
+  // rotates the visiting order; a caller engine visits shards in index
+  // order with that engine.
   Status Query(Rational64 alpha, Rational64 beta, RandomEngine* rng,
                std::vector<ItemId>* out) const;
 
@@ -285,7 +279,6 @@ class ShardedSampler final : public Sampler {
   Capabilities caps_{};
   mutable std::vector<Shard> shards_;
   mutable std::atomic<uint64_t> query_offset_{0};
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 namespace internal_registry {

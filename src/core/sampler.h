@@ -73,7 +73,7 @@ class SnapshotWriter;  // persist/snapshot.h
 /// deliberate and cheap. *Malformed* values, by contrast, are rejected at
 /// construction: `MakeSamplerChecked` returns `kInvalidArgument` with a
 /// message naming the offending field (zero-denominator fixed parameters,
-/// out-of-range shard/thread counts, a `migrate_per_update` that cannot
+/// an out-of-range shard count, a `migrate_per_update` that cannot
 /// keep a de-amortized migration ahead of the next rebuild threshold).
 struct SamplerSpec {
   /// Seed for the sampler-owned random engine. Any value is valid; equal
@@ -86,8 +86,6 @@ struct SamplerSpec {
   /// that provably finishes a migration before the next size-doubling
   /// threshold can fire.
   int migrate_per_update = 8;
-  /// `"naive"`: exact rational coins (true) vs double arithmetic (false).
-  bool exact_arithmetic = true;
   /// Fixed query parameter α for the non-parameterized backends
   /// (`"rebuild"`, `"odss"`, `"bucket_jump"`): they maintain the
   /// probabilities w/(α·Σw + β) and only answer queries for exactly this
@@ -98,12 +96,6 @@ struct SamplerSpec {
   /// `"sharded:<inner>"`: number of shards K, in [1, 4096]. A
   /// `"sharded<K>:<inner>"` registry name overrides this field.
   int num_shards = 8;
-  /// `"sharded:<inner>"`: width of the per-query parallel-drain pool, in
-  /// [0, 256]. 1 (the default) drains shards on the calling thread — the
-  /// right choice when many caller threads sample concurrently; 0 sizes
-  /// the pool to the hardware; >= 2 fans each single query out across
-  /// that many workers.
-  int num_threads = 1;
 };
 
 /// A tagged mutation record for Sampler::ApplyBatch.
@@ -201,6 +193,10 @@ class Sampler {
     /// TopK/ItemsAbove rank or threshold items by weight without the
     /// caller dumping and sorting the whole set.
     bool top_k = false;
+    /// The own-engine SampleInto may run on several threads at once while
+    /// no mutation is in flight (read parallelism comes from concurrent
+    /// callers; a server may run queued queries on a pool).
+    bool concurrent_queries = false;
   };
 
   virtual ~Sampler() = default;

@@ -348,12 +348,13 @@ StatusOr<std::unique_ptr<DurableSampler>> RecoveryManager::Open(
                                loaded_version == kContainerVersionArena &&
                                epoch == rotation_base;
   durable->delta_chain_len_ = static_cast<uint32_t>(loaded_deltas);
-  // The open-time rotation extends the chain when it can: cost
+  // The open-time rotation uses the configured checkpoint mode. With
+  // incremental checkpoints it extends the chain when it can: cost
   // proportional to the WAL churn just replayed, which is what makes Open
-  // on a v2 chain mmap-instant instead of O(n). Falls back to a full
+  // on a v2 chain mmap-instant instead of O(n). It falls back to a full
   // snapshot automatically (fresh start, classic chain, chain at cap).
-  st = durable->Checkpoint(use_arena ? CheckpointMode::kIncremental
-                                     : CheckpointMode::kFull);
+  // Without them the tip stays a full snapshot, which replicas need.
+  st = durable->Checkpoint();
   if (!st.ok()) return st;
   return durable;
 }

@@ -136,7 +136,8 @@ class DurableSampler final : public Sampler {
 
   /// "durable:" + the inner backend's registry name.
   const char* name() const override;
-  /// The inner backend's capabilities.
+  /// The inner backend's capabilities, `concurrent_queries` included:
+  /// queries forward to the inner without touching the WAL.
   Capabilities capabilities() const override;
 
   StatusOr<ItemId> Insert(uint64_t weight) override;

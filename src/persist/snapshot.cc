@@ -42,36 +42,38 @@ namespace {
 // allocation).
 constexpr uint32_t kMaxFrameLen = 0xf0000000u;
 
+// Two spec slots are reserved: the byte after `deamortized_rebuild` and
+// the trailing u32. They held SamplerSpec fields that were removed; the
+// writer keeps their old default (1) so images stay byte-identical, and
+// the reader skips them.
 void EncodeSpec(const SamplerSpec& spec, std::string* out) {
   AppendU64(out, spec.seed);
   AppendU8(out, spec.deamortized_rebuild ? 1 : 0);
-  AppendU8(out, spec.exact_arithmetic ? 1 : 0);
+  AppendU8(out, 1);  // reserved
   AppendU32(out, static_cast<uint32_t>(spec.migrate_per_update));
   AppendU64(out, spec.fixed_alpha.num);
   AppendU64(out, spec.fixed_alpha.den);
   AppendU64(out, spec.fixed_beta.num);
   AppendU64(out, spec.fixed_beta.den);
   AppendU32(out, static_cast<uint32_t>(spec.num_shards));
-  AppendU32(out, static_cast<uint32_t>(spec.num_threads));
+  AppendU32(out, 1);  // reserved
 }
 
 bool DecodeSpec(std::string_view in, size_t* pos, SamplerSpec* spec) {
-  uint8_t deam = 0, exact = 0;
-  uint32_t migrate = 0, shards = 0, threads = 0;
+  uint8_t deam = 0, reserved8 = 0;
+  uint32_t migrate = 0, shards = 0, reserved32 = 0;
   if (!ReadU64(in, pos, &spec->seed) || !ReadU8(in, pos, &deam) ||
-      !ReadU8(in, pos, &exact) || !ReadU32(in, pos, &migrate) ||
+      !ReadU8(in, pos, &reserved8) || !ReadU32(in, pos, &migrate) ||
       !ReadU64(in, pos, &spec->fixed_alpha.num) ||
       !ReadU64(in, pos, &spec->fixed_alpha.den) ||
       !ReadU64(in, pos, &spec->fixed_beta.num) ||
       !ReadU64(in, pos, &spec->fixed_beta.den) ||
-      !ReadU32(in, pos, &shards) || !ReadU32(in, pos, &threads)) {
+      !ReadU32(in, pos, &shards) || !ReadU32(in, pos, &reserved32)) {
     return false;
   }
   spec->deamortized_rebuild = deam != 0;
-  spec->exact_arithmetic = exact != 0;
   spec->migrate_per_update = static_cast<int>(migrate);
   spec->num_shards = static_cast<int>(shards);
-  spec->num_threads = static_cast<int>(threads);
   return true;
 }
 

@@ -207,7 +207,9 @@ const char* ReplicaSampler::name() const {
 
 Sampler::Capabilities ReplicaSampler::capabilities() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return inner_->capabilities();
+  Capabilities caps = inner_->capabilities();
+  caps.concurrent_queries = false;
+  return caps;
 }
 
 StatusOr<ItemId> ReplicaSampler::Insert(uint64_t weight) {

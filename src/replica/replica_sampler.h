@@ -114,6 +114,9 @@ class ReplicaSampler final : public Sampler {
 
   /// "replica:" + the inner backend's registry name.
   const char* name() const override;
+  /// The inner backend's capabilities, except `concurrent_queries`, which
+  /// is clear: every query holds the replica's mutex, so queries run one
+  /// at a time whatever the inner backend allows.
   Capabilities capabilities() const override;
 
   StatusOr<ItemId> Insert(uint64_t weight) override;

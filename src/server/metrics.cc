@@ -203,6 +203,9 @@ std::string MetricsRegistry::ToJson(const StatsContext& ctx) const {
     AppendKV(&out, "burst_queries",
              SumCounter(cores_, &CoreMetrics::burst_queries));
     out.append(", ");
+    AppendKV(&out, "pooled_bursts",
+             SumCounter(cores_, &CoreMetrics::pooled_bursts));
+    out.append(", ");
     AppendKV(&out, "mean_occupancy", occ.Mean());
     out.append(", ");
     AppendKV(&out, "p99_occupancy", occ.ValueAtQuantile(0.99));

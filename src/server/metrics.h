@@ -135,6 +135,7 @@ struct alignas(64) CoreMetrics {
   std::atomic<uint64_t> batched_ops{0};   ///< Mutations inside them.
   std::atomic<uint64_t> query_bursts{0};  ///< Query drain rounds.
   std::atomic<uint64_t> burst_queries{0}; ///< Queries inside them.
+  std::atomic<uint64_t> pooled_bursts{0}; ///< Bursts run on the query pool.
   LatencyHistogram batch_occupancy;       ///< Ops per ApplyBatch call.
 };
 

@@ -9,8 +9,8 @@
 //     thread appends encoded reply frames under its mutex, the I/O thread
 //     moves them into the connection's write buffer under the same mutex.
 //   - The sampler is touched only by the batch thread (and, for query
-//     bursts on a thread-safe `sharded` backend, by the query pool it
-//     drives synchronously via ParallelFor).
+//     bursts on a backend advertising `concurrent_queries`, by the query
+//     pool it drives synchronously via ParallelFor).
 //   - Admission accounting (queue depth, in-flight bytes, per-connection
 //     outstanding) is relaxed atomics: checked on the I/O threads,
 //     released by the batch thread when it enqueues the reply.
@@ -188,13 +188,7 @@ class Server::Impl {
       if (efd < 0) return IoError("eventfd failed");
       wake_fds_.push_back(efd);
     }
-    // Query-burst pool: effective only on a thread-safe sharded backend
-    // (the only composition whose SampleInto may race with itself).
-    int qthreads = opts_.query_threads;
-    if (qthreads == 0) qthreads = num_io_;
-    if (sharded_ != nullptr && qthreads > 1) {
-      query_pool_ = std::make_unique<ThreadPool>(qthreads);
-    }
+    ResetQueryPool();
     RefreshStatsCacheLocked();
     for (int i = 0; i < num_io_; ++i) {
       io_threads_.emplace_back([this, i] { IoLoop(i); });
@@ -306,7 +300,9 @@ class Server::Impl {
       // other threads, and it keeps answering with its final position.
       retired_replica_ = std::move(sampler_);
       sampler_ = std::move(*promoted);
-      sharded_ = dynamic_cast<const ShardedSampler*>(&durable_->inner());
+      // The promoted backend is the one the primary's snapshot named, not
+      // necessarily opts_.backend, so the pool is decided again.
+      ResetQueryPool();
       repl_log_ = std::make_unique<replica::ReplicationLog>(durable_);
       is_replica_.store(false, std::memory_order_release);
       RefreshStatsCacheLocked();
@@ -380,13 +376,11 @@ class Server::Impl {
       if (!opened.ok()) return opened.status();
       durable_ = opened->get();
       sampler_ = std::move(*opened);
-      sharded_ = dynamic_cast<const ShardedSampler*>(&durable_->inner());
       repl_log_ = std::make_unique<replica::ReplicationLog>(durable_);
     } else {
       auto made = MakeSamplerChecked(opts_.backend, opts_.spec);
       if (!made.ok()) return made.status();
       sampler_ = std::move(*made);
-      sharded_ = dynamic_cast<const ShardedSampler*>(sampler_.get());
     }
     if (opts_.min_replica_acks > 0 && durable_ == nullptr) {
       return InvalidArgumentError(
@@ -902,6 +896,7 @@ class Server::Impl {
         out.st = sampler_->SampleInto(r.alpha, r.beta, &out.ids);
       };
       if (query_pool_ != nullptr && samples.size() > 1) {
+        m.pooled_bursts.fetch_add(1, std::memory_order_relaxed);
         query_pool_->ParallelFor(static_cast<int>(samples.size()), run_one);
       } else {
         for (int qi = 0; qi < static_cast<int>(samples.size()); ++qi) {
@@ -1133,6 +1128,18 @@ class Server::Impl {
     WakeAllIo();
   }
 
+  // Builds the query-burst pool for the current sampler_, or drops it: a
+  // pool only for a backend whose SampleInto may race with itself. Called
+  // at Start and on the batch thread (the pool's only user) at promotion.
+  void ResetQueryPool() {
+    query_pool_.reset();
+    int qthreads = opts_.query_threads;
+    if (qthreads == 0) qthreads = num_io_;
+    if (sampler_->capabilities().concurrent_queries && qthreads > 1) {
+      query_pool_ = std::make_unique<ThreadPool>(qthreads);
+    }
+  }
+
   // Runs `fn` on the batch thread — the sampler's only owner — and blocks
   // until it completes. Must not be called from the batch thread itself.
   // \return kUnsupported once the batch thread has exited (post-drain).
@@ -1184,9 +1191,13 @@ class Server::Impl {
             lag.subscriber, lag.epoch, lag.applied_seq, lag.lag_records});
       }
     }
-    if (sharded_ != nullptr) {
+    // Shard occupancy is the one sharded-specific stat (a replica reports
+    // none); it stays a local downcast until a metrics layer replaces it.
+    const Sampler* backend =
+        durable_ != nullptr ? &durable_->inner() : sampler_.get();
+    if (const auto* sharded = dynamic_cast<const ShardedSampler*>(backend)) {
       for (const ShardedSampler::ShardStats& row :
-           sharded_->ShardOccupancy()) {
+           sharded->ShardOccupancy()) {
         ctx.shards.push_back(
             ShardOccupancyRow{row.live, row.total_weight_double});
       }
@@ -1217,7 +1228,6 @@ class Server::Impl {
 
   std::unique_ptr<Sampler> sampler_;
   persist::DurableSampler* durable_ = nullptr;  // aliases sampler_
-  const ShardedSampler* sharded_ = nullptr;     // aliases the inner backend
   std::unique_ptr<ThreadPool> query_pool_;
 
   // --- Replication (docs/REPLICATION.md) ---

@@ -17,7 +17,7 @@
 /// `Sampler::ApplyBatch` (one WAL record — and, in durable mode, one
 /// group-commit fsync — per batch), and drains query runs as
 /// `SampleInto` bursts, fanned out over the internal `ThreadPool` when the
-/// backend is a thread-safe `sharded` composition. Replies are appended to
+/// backend advertises `concurrent_queries`. Replies are appended to
 /// per-connection outboxes; the owning event loop is woken by eventfd and
 /// writes them out.
 ///
@@ -102,7 +102,7 @@ struct ServerOptions {
   uint32_t max_sample_ids = 65536;
 
   /// Width of the query-burst drain pool. Effective only when the backend
-  /// is a thread-safe `sharded` composition; 0 = match io_threads,
+  /// advertises `concurrent_queries`; 0 = match io_threads,
   /// 1 = drain bursts serially on the batch thread.
   int query_threads = 0;
 

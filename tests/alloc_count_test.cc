@@ -249,7 +249,6 @@ TEST(AllocationCount, ShardedQueryIsAllocationFree) {
   for (auto& w : weights) w = 1 + wrng.NextBelow(uint64_t{1} << 20);
   SamplerSpec spec;
   spec.seed = 71;
-  spec.num_threads = 1;
   std::unique_ptr<Sampler> s = MakeSampler("sharded8:halt", spec);
   ASSERT_NE(s, nullptr);
   ASSERT_TRUE(s->InsertBatch(weights, nullptr).ok());

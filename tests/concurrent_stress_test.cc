@@ -35,23 +35,13 @@ using testing_util::ChiSquareGate;
 constexpr Rational64 kAlpha{1, 1};
 constexpr Rational64 kBeta{0, 1};
 
-// One stress configuration: a sharded backend plus the width of the
-// per-query parallel-drain pool (>= 2 builds a ThreadPool inside the
-// sampler, so the pooled drain path gets raced and TSan-checked too).
-struct StressConfig {
-  const char* backend;
-  int drain_threads;
-};
-
-class ConcurrentStressTest
-    : public ::testing::TestWithParam<StressConfig> {};
+class ConcurrentStressTest : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ConcurrentStressTest, WritersAndSamplersRace) {
   SamplerSpec spec;
   spec.seed = 99;
   spec.num_shards = 8;
-  spec.num_threads = GetParam().drain_threads;
-  std::unique_ptr<Sampler> s = MakeSampler(GetParam().backend, spec);
+  std::unique_ptr<Sampler> s = MakeSampler(GetParam(), spec);
   ASSERT_NE(s, nullptr);
 
   // Anchor items no writer ever touches: their final weights are known, so
@@ -169,17 +159,14 @@ TEST_P(ConcurrentStressTest, WritersAndSamplersRace) {
   }
   int dof = 0;
   const double chi = ChiSquare(hits, probs, trials, &dof);
-  EXPECT_LE(chi, ChiSquareGate(dof)) << GetParam().backend;
+  EXPECT_LE(chi, ChiSquareGate(dof)) << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Sharded, ConcurrentStressTest,
-    ::testing::Values(StressConfig{"sharded:halt", 1},
-                      StressConfig{"sharded4:naive", 1},
-                      StressConfig{"sharded:halt", 3}),
-    [](const ::testing::TestParamInfo<StressConfig>& info) {
-      return testing_util::GTestNameFromBackend(info.param.backend) +
-             "_drain" + std::to_string(info.param.drain_threads);
+    ::testing::Values("sharded:halt", "sharded4:naive"),
+    [](const ::testing::TestParamInfo<const char*>& info) {
+      return testing_util::GTestNameFromBackend(info.param);
     });
 
 }  // namespace

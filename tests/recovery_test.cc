@@ -18,6 +18,7 @@
 //   3. the recovered sampler is alive: invariants hold and new mutations
 //      apply.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
@@ -31,6 +32,7 @@
 #include "persist/env.h"
 #include "persist/recovery.h"
 #include "persist/snapshot.h"
+#include "replica/replication_log.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -462,6 +464,37 @@ TEST(RecoveryTest, RestoreRotatesImmediately) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ((*reopened)->size(), 3u);
   EXPECT_EQ((*reopened)->TotalWeight(), BigUInt(uint64_t{6}));
+}
+
+// Regression: with default options (no incremental checkpoints) the
+// open-time rotation of an arena-capable backend writes a full snapshot,
+// so a restarted primary's chain tip is never a delta and replicas can
+// still bootstrap from it.
+TEST(RecoveryTest, DefaultReopenKeepsAShippableSnapshotTip) {
+  MemEnv mem;
+  const DurableOptions opts = MakeOptions(&mem, "naive", 1);
+  for (uint64_t w : {10, 20}) {
+    auto d = RecoveryManager::Open(kDir, opts);
+    ASSERT_TRUE(d.ok());
+    ASSERT_TRUE((*d)->Insert(w).ok());
+  }
+  auto d = RecoveryManager::Open(kDir, opts);
+  ASSERT_TRUE(d.ok());
+  auto listing = mem.ListDir(kDir);
+  ASSERT_TRUE(listing.ok());
+  std::sort(listing->begin(), listing->end());
+  EXPECT_EQ(*listing, (std::vector<std::string>{"snapshot-3", "wal-3"}));
+  replica::ReplicationLog log(d->get());
+  const replica::ReplicationLog::SubscribeResult sub = log.Subscribe(0, 0, 0);
+  EXPECT_TRUE(sub.status.ok()) << sub.status.message();
+  EXPECT_EQ(sub.epoch, 3u);
+}
+
+TEST(RecoveryTest, DurableForwardsConcurrentQueries) {
+  MemEnv mem;
+  auto d = RecoveryManager::Open(kDir, MakeOptions(&mem, "sharded4:naive", 1));
+  ASSERT_TRUE(d.ok());
+  EXPECT_TRUE((*d)->capabilities().concurrent_queries);
 }
 
 // --- Arena (v2) format and incremental checkpoints ------------------------

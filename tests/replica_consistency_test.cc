@@ -16,6 +16,7 @@
 
 #include "gtest/gtest.h"
 #include "persist/env.h"
+#include "replica/replica_sampler.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "statistical.h"
@@ -245,6 +246,17 @@ TEST(ReplicaConsistencyTest, LateJoinerBootstrapsFromSnapshot) {
   ASSERT_NE(replica, nullptr);
   ASSERT_TRUE(AwaitCatchUp(*replica, truth, 10000));
   EXPECT_GT(replica->replica_epoch(), 0u);
+}
+
+// Every replica query holds the replica's mutex, so a replica does not
+// advertise concurrent_queries even over a sharded backend: a replica
+// server gets no query pool until promotion.
+TEST(ReplicaConsistencyTest, ReplicaSerializesQueries) {
+  persist::MemEnv env;
+  auto made = replica::ReplicaSampler::Create(&env, "/mirror",
+                                              "sharded4:naive", SamplerSpec{});
+  ASSERT_TRUE(made.ok()) << made.status().message();
+  EXPECT_FALSE((*made)->capabilities().concurrent_queries);
 }
 
 }  // namespace

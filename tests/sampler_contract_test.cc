@@ -307,6 +307,8 @@ TEST_P(SamplerContractTest, CapabilityGatedPathsFailSoftly) {
 TEST_P(SamplerContractTest, OptionalApisHonorCapabilityFlags) {
   auto s = Make(21);
   const Sampler::Capabilities caps = s->capabilities();
+  // Only the sharded wrapper's own-engine query may race with itself.
+  EXPECT_EQ(caps.concurrent_queries, GetParam().rfind("sharded", 0) == 0);
   std::vector<ItemId> ids;
   const std::vector<uint64_t> seed_weights = {40, 12, 28};
   ASSERT_TRUE(s->InsertBatch(seed_weights, &ids).ok());

@@ -7,13 +7,17 @@
 #include <stdlib.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "persist/env.h"
 #include "server/client.h"
 #include "server/server.h"
 
@@ -381,6 +385,122 @@ TEST(ServerE2eTest, ConcurrentClientsSeeConsistentCounts) {
   auto json = client->Stats();
   ASSERT_TRUE(json.ok());
   EXPECT_NE(json->find("\"size\": 1000"), std::string::npos) << *json;
+}
+
+// Reads an unsigned counter from the STATS JSON ("key": value).
+uint64_t StatsCounter(const std::string& json, const std::string& key) {
+  const size_t at = json.find("\"" + key + "\": ");
+  if (at == std::string::npos) return 0;
+  return std::strtoull(json.c_str() + at + key.size() + 4, nullptr, 10);
+}
+
+// Sends `n` pipelined kSample requests at μ = |live|/8 and checks that
+// every reply is Ok and names only ids in `live`.
+void PipelineSamples(Client& client, const std::set<ItemId>& live, int n) {
+  Request sample;
+  sample.type = MsgType::kSample;
+  sample.alpha = Rational64{1, 8};
+  sample.beta = Rational64{0, 1};
+  for (int i = 0; i < n; ++i) client.SendRequest(sample);
+  ASSERT_TRUE(client.Flush().ok());
+  uint64_t sampled = 0;
+  for (int i = 0; i < n; ++i) {
+    auto resp = client.ReadResponse();
+    ASSERT_TRUE(resp.ok()) << resp.status().message();
+    ASSERT_EQ(resp->status, WireStatus::kOk);
+    for (const ItemId id : resp->ids) EXPECT_EQ(live.count(id), 1u);
+    sampled += resp->ids.size();
+  }
+  EXPECT_GT(sampled, 0u);
+}
+
+// Inserts weights 1..n and returns the ids.
+std::set<ItemId> InsertItems(Client& client, int n) {
+  std::set<ItemId> live;
+  for (int i = 0; i < n; ++i) {
+    auto id = client.Insert(Weight{static_cast<uint64_t>(i + 1), 0});
+    EXPECT_TRUE(id.ok()) << id.status().message();
+    if (id.ok()) live.insert(*id);
+  }
+  return live;
+}
+
+// The query pool is chosen by capability: a durable sharded primary
+// advertises concurrent_queries through its DurableSampler, so pipelined
+// samples are drained as bursts over the pool (the TSan job runs this).
+TEST(ServerE2eTest, PipelinedSamplesRunAsBurstsOnADurableShardedPrimary) {
+  persist::MemEnv env;
+  ServerOptions opts = FastOptions();
+  opts.durable_dir = "/primary";
+  opts.env = &env;
+  opts.max_conn_pending = 1024;
+  auto server = MustStart(opts);
+  ASSERT_NE(server, nullptr);
+  auto client = Dial(*server);
+  const std::set<ItemId> live = InsertItems(*client, 64);
+  ASSERT_EQ(live.size(), 64u);
+  ASSERT_NO_FATAL_FAILURE(PipelineSamples(*client, live, 256));
+
+  auto json = client->Stats();
+  ASSERT_TRUE(json.ok()) << json.status().message();
+  EXPECT_GT(StatsCounter(*json, "burst_queries"),
+            StatsCounter(*json, "query_bursts"))
+      << "no burst held more than one query: " << *json;
+  EXPECT_GT(StatsCounter(*json, "pooled_bursts"), 0u)
+      << "no burst ran on the query pool: " << *json;
+}
+
+// A replica serves whatever backend the primary's snapshot names, and
+// promotion reopens that backend, so the server decides its query pool
+// again at promotion. A sharded4:halt replica of a plain halt primary must
+// not run halt's query (not reentrant) on the pool once promoted; one of a
+// sharded primary gains the pool. Before promotion the replica's mutex
+// serializes queries, so there is no pool. The TSan job runs this.
+TEST(ServerE2eTest, PromotedReplicaDecidesItsQueryPoolAgain) {
+  for (const char* primary_backend : {"halt", "sharded4:halt"}) {
+    SCOPED_TRACE(primary_backend);
+    const bool pooled_after = std::string(primary_backend) != "halt";
+    persist::MemEnv prim_env, rep_env;
+    ServerOptions popts = FastOptions();
+    popts.backend = primary_backend;
+    popts.durable_dir = "/primary";
+    popts.env = &prim_env;
+    auto primary = MustStart(popts);
+    ASSERT_NE(primary, nullptr);
+    const std::set<ItemId> live = InsertItems(*Dial(*primary), 64);
+    ASSERT_EQ(live.size(), 64u);
+
+    ServerOptions ropts = FastOptions();  // sharded4:halt
+    ropts.durable_dir = "/mirror";
+    ropts.env = &rep_env;
+    ropts.max_conn_pending = 1024;
+    ropts.replica_of = "127.0.0.1:" + std::to_string(primary->port());
+    auto replica = MustStart(ropts);
+    ASSERT_NE(replica, nullptr);
+    std::vector<ItemRecord> items;
+    for (int waited = 0; waited < 10000 && items.size() != live.size();
+         waited += 20) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ASSERT_TRUE(replica->DumpItems(&items).ok());
+    }
+    ASSERT_EQ(items.size(), live.size()) << "replica did not catch up";
+
+    auto client = Dial(*replica);
+    ASSERT_NO_FATAL_FAILURE(PipelineSamples(*client, live, 256));
+    auto json = client->Stats();
+    ASSERT_TRUE(json.ok()) << json.status().message();
+    EXPECT_EQ(StatsCounter(*json, "pooled_bursts"), 0u) << *json;
+
+    ASSERT_TRUE(replica->Promote(0, 0).ok());
+    ASSERT_NO_FATAL_FAILURE(PipelineSamples(*client, live, 256));
+    json = client->Stats();
+    ASSERT_TRUE(json.ok()) << json.status().message();
+    EXPECT_NE(json->find("\"durable:" + std::string(primary_backend) + "\""),
+              std::string::npos)
+        << *json;
+    EXPECT_EQ(StatsCounter(*json, "pooled_bursts") > 0, pooled_after)
+        << *json;
+  }
 }
 
 }  // namespace

@@ -181,7 +181,8 @@ TEST(ServerMetricsTest, JsonSchemaKeysAreStable) {
         "\"getweight\"", "\"sample\"", "\"stats\"", "\"ping\"", "\"count\"",
         "\"errors\"", "\"mean_ns\"", "\"p50_ns\"", "\"p99_ns\"",
         "\"p999_ns\"", "\"batches\"", "\"batched_ops\"", "\"query_bursts\"",
-        "\"burst_queries\"", "\"mean_occupancy\"", "\"p99_occupancy\"",
+        "\"burst_queries\"", "\"pooled_bursts\"", "\"mean_occupancy\"",
+        "\"p99_occupancy\"",
         "\"depth\"", "\"limit\"", "\"inflight_bytes\"", "\"inflight_limit\"",
         "\"name\"", "\"size\"", "\"total_weight\"", "\"memory_bytes\"",
         "\"wal_bytes\"", "\"shard\"", "\"live\""}) {

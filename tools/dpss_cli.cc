@@ -11,8 +11,6 @@
 //   backends                   list registered backends (current marked *)
 //   shards <k>                 set SamplerSpec::num_shards for the next
 //                              'backend sharded:...' (default 8)
-//   threads <k>                set SamplerSpec::num_threads (parallel
-//                              drain width; default 1)
 //   insert <weight>            add an item (prints its id)
 //   insertbatch <w1> <w2> ...  add many items in one InsertBatch call
 //   insertexp <mult> <exp>     add an item with weight mult·2^exp
@@ -272,25 +270,19 @@ int main() {
       std::printf("  sharded[K]:<inner>  (thread-safe wrapper over a "
                   "parameterized inner: halt or naive; K from 'shards' "
                   "when omitted)\n");
-    } else if (cmd == "shards" || cmd == "threads") {
-      // Validate against the sampler's real bounds up front, so the value
+    } else if (cmd == "shards") {
+      // Validate against the sampler's real bound up front, so the value
       // is not confirmed here only to fail at the next 'backend' command.
-      const uint64_t max = cmd == "shards"
-                               ? dpss::ShardedSampler::kMaxShards
-                               : dpss::ShardedSampler::kMaxThreads;
+      const uint64_t max = dpss::ShardedSampler::kMaxShards;
       uint64_t v;
       if (!ParseU64(in, &v) || v < 1 || v > max) {
-        std::printf("usage: %s <k>   (1 <= k <= %llu)\n", cmd.c_str(),
+        std::printf("usage: shards <k>   (1 <= k <= %llu)\n",
                     (unsigned long long)max);
         continue;
       }
-      if (cmd == "shards") {
-        spec.num_shards = static_cast<int>(v);
-      } else {
-        spec.num_threads = static_cast<int>(v);
-      }
-      std::printf("%s %llu (applies to the next 'backend' command)\n",
-                  cmd.c_str(), (unsigned long long)v);
+      spec.num_shards = static_cast<int>(v);
+      std::printf("shards %llu (applies to the next 'backend' command)\n",
+                  (unsigned long long)v);
     } else if (cmd == "insert") {
       uint64_t w;
       if (!ParseU64(in, &w)) {
