@@ -15,7 +15,10 @@
 //
 // All four enforce the interface contract themselves (Status on misuse,
 // generation-checked ids via core/item_id.h) and only answer queries for
-// the SamplerSpec's fixed (α, β) unless parameterized.
+// the SamplerSpec's fixed (α, β) unless parameterized. Only "naive"
+// persists: the three fixed-(α, β) comparators are in-memory only (no
+// snapshots, so RecoveryManager::Open rejects them, and Server::Start
+// rejects them as unparameterized).
 
 #include <memory>
 #include <string>
@@ -76,33 +79,6 @@ Status DumpFlatTable(const FlatTable& t, std::vector<ItemRecord>* out) {
         {MakeItemId(slot, t.gens[slot]), Weight::FromU64(t.weights[slot])});
   }
   return Status::Ok();
-}
-
-// Shared Serialize over a FlatTable.
-Status SerializeFlat(const FlatTable& t, std::string* out) {
-  if (out == nullptr) return InvalidArgumentError("null output pointer");
-  SerializeFlatTable(t, out);
-  return Status::Ok();
-}
-
-// Shared arena-image collection over a FlatTable: every flat backend keeps
-// its entire item state in the table's arena, so one image captures the
-// sampler exactly (the auxiliary DSS structures are rebuilt on restore).
-Status CollectFlatImage(FlatTable* t, ArenaImageMode mode,
-                        std::vector<ArenaImage>* out) {
-  if (out == nullptr) return InvalidArgumentError("null output pointer");
-  ArenaImage img;
-  CollectFlatTableImage(t, mode, &img);
-  out->push_back(std::move(img));
-  return Status::Ok();
-}
-
-// Shared arena restore: a flat backend is exactly one image.
-Status FlatFromLoads(std::vector<ArenaLoad>&& loads, FlatTable* t) {
-  if (loads.size() != 1) {
-    return BadSnapshotError("flat backend expects exactly one arena image");
-  }
-  return FlatTableFromArena(std::move(loads[0]), t);
 }
 
 // --- "naive" -------------------------------------------------------------
@@ -190,7 +166,9 @@ class NaiveBackend final : public Sampler {
   }
 
   Status Serialize(std::string* out) const override {
-    return SerializeFlat(naive_.table(), out);
+    if (out == nullptr) return InvalidArgumentError("null output pointer");
+    SerializeFlatTable(naive_.table(), out);
+    return Status::Ok();
   }
 
   Status Restore(const std::string& bytes) override {
@@ -201,14 +179,23 @@ class NaiveBackend final : public Sampler {
     return Status::Ok();
   }
 
+  // The whole item state lives in the table's arena, so one image
+  // captures the sampler exactly.
   Status CollectArenaImages(ArenaImageMode mode,
                             std::vector<ArenaImage>* out) override {
-    return CollectFlatImage(naive_.mutable_table(), mode, out);
+    if (out == nullptr) return InvalidArgumentError("null output pointer");
+    ArenaImage img;
+    CollectFlatTableImage(naive_.mutable_table(), mode, &img);
+    out->push_back(std::move(img));
+    return Status::Ok();
   }
 
   Status RestoreFromArenas(std::vector<ArenaLoad>&& loads) override {
+    if (loads.size() != 1) {
+      return BadSnapshotError("flat backend expects exactly one arena image");
+    }
     FlatTable t;
-    Status st = FlatFromLoads(std::move(loads), &t);
+    Status st = FlatTableFromArena(std::move(loads[0]), &t);
     if (!st.ok()) return st;
     naive_.RestoreTable(std::move(t));
     return Status::Ok();
@@ -243,8 +230,6 @@ class RebuildBackend final : public Sampler {
 
   Capabilities capabilities() const override {
     Capabilities caps;
-    caps.snapshots = true;
-    caps.arena_image = true;
     caps.decay = true;
     caps.sample_distinct = true;
     caps.top_k = true;
@@ -331,31 +316,6 @@ class RebuildBackend final : public Sampler {
     return Status::Ok();
   }
 
-  Status Serialize(std::string* out) const override {
-    return SerializeFlat(rebuild_.table(), out);
-  }
-
-  Status Restore(const std::string& bytes) override {
-    FlatTable t;
-    Status st = DeserializeFlatTable(bytes, &t);
-    if (!st.ok()) return st;
-    rebuild_.RestoreTable(std::move(t));  // pays the signature Ω(n) rebuild
-    return Status::Ok();
-  }
-
-  Status CollectArenaImages(ArenaImageMode mode,
-                            std::vector<ArenaImage>* out) override {
-    return CollectFlatImage(rebuild_.mutable_table(), mode, out);
-  }
-
-  Status RestoreFromArenas(std::vector<ArenaLoad>&& loads) override {
-    FlatTable t;
-    Status st = FlatFromLoads(std::move(loads), &t);
-    if (!st.ok()) return st;
-    rebuild_.RestoreTable(std::move(t));  // same Ω(n) rebuild as Restore
-    return Status::Ok();
-  }
-
   Status DumpItems(std::vector<ItemRecord>* out) const override {
     return DumpFlatTable(rebuild_.table(), out);
   }
@@ -388,8 +348,6 @@ class BucketJumpBackend final : public Sampler {
 
   Capabilities capabilities() const override {
     Capabilities caps;
-    caps.snapshots = true;
-    caps.arena_image = true;
     // The generic Decay loop is the right cost here: each SetWeight is
     // O(1) and only dirties the lazy structure, so a decay is O(n) with
     // one deferred rebuild at the next query.
@@ -458,37 +416,6 @@ class BucketJumpBackend final : public Sampler {
     return Status::Ok();
   }
 
-  Status Serialize(std::string* out) const override {
-    return SerializeFlat(table_, out);
-  }
-
-  Status Restore(const std::string& bytes) override {
-    FlatTable t;
-    Status st = DeserializeFlatTable(bytes, &t);
-    if (!st.ok()) return st;
-    table_ = std::move(t);
-    // The lazy structure indexes the old item set; drop it and let the
-    // next query rebuild, exactly like any other mutation.
-    jump_.reset();
-    dirty_ = true;
-    return Status::Ok();
-  }
-
-  Status CollectArenaImages(ArenaImageMode mode,
-                            std::vector<ArenaImage>* out) override {
-    return CollectFlatImage(&table_, mode, out);
-  }
-
-  Status RestoreFromArenas(std::vector<ArenaLoad>&& loads) override {
-    FlatTable t;
-    Status st = FlatFromLoads(std::move(loads), &t);
-    if (!st.ok()) return st;
-    table_ = std::move(t);
-    jump_.reset();
-    dirty_ = true;
-    return Status::Ok();
-  }
-
   Status DumpItems(std::vector<ItemRecord>* out) const override {
     return DumpFlatTable(table_, out);
   }
@@ -550,8 +477,6 @@ class OdssBackend final : public Sampler {
 
   Capabilities capabilities() const override {
     Capabilities caps;
-    caps.snapshots = true;
-    caps.arena_image = true;
     caps.decay = true;  // override below: one refresh, not one per item
     caps.sample_distinct = true;  // generic exact WOR engine
     caps.top_k = true;            // generic dump-and-rank
@@ -686,32 +611,7 @@ class OdssBackend final : public Sampler {
     if (!st.ok()) return st;
     st = CheckFixedParams(alpha, beta, alpha_, beta_);
     if (!st.ok()) return st;
-    *out = odss_->Sample(rng);
-    return Status::Ok();
-  }
-
-  Status Serialize(std::string* out) const override {
-    return SerializeFlat(table_, out);
-  }
-
-  Status Restore(const std::string& bytes) override {
-    FlatTable t;
-    Status st = DeserializeFlatTable(bytes, &t);
-    if (!st.ok()) return st;
-    AdoptTable(std::move(t));
-    return Status::Ok();
-  }
-
-  Status CollectArenaImages(ArenaImageMode mode,
-                            std::vector<ArenaImage>* out) override {
-    return CollectFlatImage(&table_, mode, out);
-  }
-
-  Status RestoreFromArenas(std::vector<ArenaLoad>&& loads) override {
-    FlatTable t;
-    Status st = FlatFromLoads(std::move(loads), &t);
-    if (!st.ok()) return st;
-    AdoptTable(std::move(t));
+    *out = odss_.Sample(rng);
     return Status::Ok();
   }
 
@@ -725,20 +625,6 @@ class OdssBackend final : public Sampler {
   }
 
  private:
-  // Replace the whole state: fresh DSS structure, fresh handle map, one
-  // probability refresh at the end (exactly the batch-load shape).
-  void AdoptTable(FlatTable&& t) {
-    table_ = std::move(t);
-    odss_ = std::make_unique<OdssSampler>();
-    handles_.assign(table_.weights.size(), 0);
-    for (uint64_t slot = 0; slot < table_.weights.size(); ++slot) {
-      if (!table_.live[slot]) continue;
-      handles_[slot] = odss_->Insert(MakeItemId(slot, table_.gens[slot]),
-                                     BigUInt(), BigUInt(uint64_t{1}));
-    }
-    RefreshAllProbabilities();
-  }
-
   StatusOr<ItemId> InsertValueFromWeight(Weight w) {
     uint64_t value = 0;
     Status st = WeightToU64(w, &value);
@@ -751,7 +637,7 @@ class OdssBackend final : public Sampler {
     const uint64_t slot = SlotIndexOf(id);
     // Insert with probability 0; the refresh assigns the real value (and
     // re-targets every other item's probability, which the new Σw shifted).
-    const uint64_t handle = odss_->Insert(id, BigUInt(), BigUInt(uint64_t{1}));
+    const uint64_t handle = odss_.Insert(id, BigUInt(), BigUInt(uint64_t{1}));
     if (handles_.size() <= slot) handles_.resize(slot + 1);
     handles_[slot] = handle;
     if (refresh) RefreshAllProbabilities();
@@ -760,7 +646,7 @@ class OdssBackend final : public Sampler {
 
   Status EraseId(ItemId id, bool refresh) {
     if (!table_.ContainsId(id)) return InvalidIdError();
-    odss_->Erase(handles_[SlotIndexOf(id)]);
+    odss_.Erase(handles_[SlotIndexOf(id)]);
     table_.EraseId(id);
     if (refresh) RefreshAllProbabilities();
     return Status::Ok();
@@ -785,14 +671,14 @@ class OdssBackend final : public Sampler {
       if (!table_.live[slot]) continue;
       const uint64_t w = table_.weights[slot];
       if (w == 0) {
-        odss_->UpdateProbability(handles_[slot], BigUInt(),
+        odss_.UpdateProbability(handles_[slot], BigUInt(),
                                  BigUInt(uint64_t{1}));
       } else if (w_zero) {
         // W == 0: probability 1.
-        odss_->UpdateProbability(handles_[slot], BigUInt(uint64_t{1}),
+        odss_.UpdateProbability(handles_[slot], BigUInt(uint64_t{1}),
                                  BigUInt(uint64_t{1}));
       } else {
-        odss_->UpdateProbability(handles_[slot], BigUInt::MulU64(wden, w),
+        odss_.UpdateProbability(handles_[slot], BigUInt::MulU64(wden, w),
                                  wnum);
       }
     }
@@ -802,9 +688,7 @@ class OdssBackend final : public Sampler {
   Rational64 beta_;
   FlatTable table_;
   std::vector<uint64_t> handles_;  // slot -> OdssSampler handle
-  // By pointer so Restore can swap in a fresh structure (OdssSampler is
-  // neither copyable nor assignable).
-  std::unique_ptr<OdssSampler> odss_ = std::make_unique<OdssSampler>();
+  OdssSampler odss_;
   RandomEngine rng_;
 };
 

@@ -49,12 +49,11 @@ class RebuildDpss {
            sizeof(*this);
   }
 
-  // Snapshot hooks for the interface backend (baseline/backends.cc). The
-  // restore pays the structure's signature Ω(n) rebuild, like any other
-  // mutation.
+  // Table hooks for the interface backend (baseline/backends.cc):
+  // DumpItems reads the table, and Decay rewrites every weight in one pass
+  // and hands the table back through RestoreTable, which pays the
+  // structure's signature Ω(n) rebuild once.
   const FlatTable& table() const { return table_; }
-  // Mutable access for the arena-image snapshot path (collection clears
-  // the table's dirty-page baseline; the item state is untouched).
   FlatTable* mutable_table() { return &table_; }
   void RestoreTable(FlatTable&& t) {
     table_ = std::move(t);

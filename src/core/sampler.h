@@ -172,7 +172,10 @@ class Sampler {
     bool parameterized = false;
     /// Weights mult·2^exp beyond uint64 (the paper's float-weight regime).
     bool float_weights = false;
-    /// Serialize/Restore snapshots.
+    /// Serialize/Restore: a native snapshot format that keeps ids. The one
+    /// persistence rule: SaveSampler and RecoveryManager::Open accept a
+    /// backend only with this flag (WAL replay re-derives every logged
+    /// id). The fixed-(α, β) comparators clear it and are in-memory only.
     bool snapshots = false;
     /// CheckInvariants performs a deep structural audit (otherwise it is a
     /// cheap bookkeeping cross-check).
@@ -182,6 +185,7 @@ class Sampler {
     /// CollectArenaImages/RestoreFromArenas: the backend's full item state
     /// lives in relocatable arenas (core/arena.h), so snapshots can be raw
     /// page images (the v2 format) and checkpoints can be incremental.
+    /// Implies `snapshots`.
     bool arena_image = false;
     /// Decay(factor) multiplies every weight by a rational in (0, 1] —
     /// O(1) metadata on "halt" (the factor folds into the (α, β)
@@ -419,13 +423,13 @@ class Sampler {
   virtual Status DumpItems(std::vector<ItemRecord>* out) const;
 
   /// Writes this sampler's payload into an open container snapshot
-  /// (persist/snapshot.h): the native Serialize bytes as one payload frame
-  /// when `capabilities().snapshots`, falling back to a generic DumpItems
-  /// frame otherwise. Drivers normally call persist::SaveSampler, which
-  /// wraps the payload in the magic/version/backend/spec header and the
-  /// CRC-sealed frame envelope.
-  /// \return `kUnsupported` if the backend has neither a native format nor
-  ///   DumpItems; any frame-write error otherwise.
+  /// (persist/snapshot.h): the native Serialize bytes as one payload frame.
+  /// Drivers normally call persist::SaveSampler, which wraps the payload
+  /// in the magic/version/backend/spec header and the CRC-sealed frame
+  /// envelope. The id-losing generic DumpItems frame is never written
+  /// here; persist::ExportPortable writes it on request.
+  /// \return `kUnsupported` unless `capabilities().snapshots`; any
+  ///   frame-write error otherwise.
   virtual Status SaveTo(persist::SnapshotWriter* writer) const;
 
   /// Structural self-check. A returned error means the *caller's bytes*

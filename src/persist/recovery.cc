@@ -8,6 +8,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
+#include <string_view>
 #include <utility>
 
 #include "persist/snapshot.h"
@@ -96,6 +98,42 @@ bool ParseEpoch(const std::string& name, const char* prefix,
   }
   *epoch = v;
   return true;
+}
+
+// The one persistence rule: a backend persists only through a native
+// snapshot format that keeps ids (Capabilities::snapshots), because WAL
+// replay re-derives every logged id. Status messages are static strings,
+// hence one per built-in.
+Status CheckPersists(const Sampler& s) {
+  if (s.capabilities().snapshots) return Status::Ok();
+  const std::string_view name = s.name();
+  if (name == "rebuild") {
+    return InvalidArgumentError(
+        "rebuild: fixed-(alpha, beta) comparator, in-memory only; persist "
+        "halt, naive or sharded[K]:<inner>");
+  }
+  if (name == "bucket_jump") {
+    return InvalidArgumentError(
+        "bucket_jump: fixed-(alpha, beta) comparator, in-memory only; "
+        "persist halt, naive or sharded[K]:<inner>");
+  }
+  if (name == "odss") {
+    return InvalidArgumentError(
+        "odss: fixed-(alpha, beta) comparator, in-memory only; persist "
+        "halt, naive or sharded[K]:<inner>");
+  }
+  return InvalidArgumentError(
+      "backend has no native snapshot format (Capabilities::snapshots), so "
+      "it cannot be persisted");
+}
+
+// CheckPersists for the backend a snapshot header names. A header that
+// parsed (CRC-valid) is no crash artifact, so a backend the registry
+// rejects is refused too.
+Status CheckHeaderPersists(const SnapshotInfo& info) {
+  StatusOr<std::unique_ptr<Sampler>> probe =
+      MakeSamplerChecked(info.backend, info.spec);
+  return probe.ok() ? CheckPersists(**probe) : probe.status();
 }
 
 }  // namespace
@@ -201,6 +239,7 @@ StatusOr<std::unique_ptr<DurableSampler>> RecoveryManager::Open(
   // (torn rotation, corruption) is skipped — the previous epoch is still
   // intact because rotation only deletes it after the new file is durable.
   RecoveryStats stats;
+  Status rejected;  // a valid header naming a backend Open cannot keep
   std::unique_ptr<Sampler> inner;
   uint64_t epoch = 0;
   uint32_t loaded_version = 0;
@@ -223,6 +262,8 @@ StatusOr<std::unique_ptr<DurableSampler>> RecoveryManager::Open(
       if (!map.ok()) return map.status();
       StatusOr<SnapshotInfo> sniff = ReadSnapshotInfo(FileView(**map));
       if (!sniff.ok()) return sniff.status();
+      rejected = CheckHeaderPersists(*sniff);
+      if (!rejected.ok()) return rejected;
       loaded_version = sniff->version;
       if (sniff->version != kContainerVersionArena) {
         if (anchor != tip) {
@@ -248,6 +289,8 @@ StatusOr<std::unique_ptr<DurableSampler>> RecoveryManager::Open(
       return RestoreArenaSampler(info, std::move(loads));
     };
     StatusOr<std::unique_ptr<Sampler>> loaded = try_load();
+    // Refuse, rather than skip: a fresh start would retire those files.
+    if (!rejected.ok()) return rejected;
     if (!loaded.ok()) {
       ++stats.snapshots_skipped;
       continue;
@@ -261,6 +304,8 @@ StatusOr<std::unique_ptr<DurableSampler>> RecoveryManager::Open(
     StatusOr<std::unique_ptr<Sampler>> fresh =
         MakeSamplerChecked(options.backend, options.spec);
     if (!fresh.ok()) return fresh.status();
+    st = CheckPersists(**fresh);
+    if (!st.ok()) return st;
     inner = std::move(*fresh);
     stats.fresh_start = true;
     loaded_version = 0;

@@ -1,6 +1,7 @@
 /// \file
-/// \brief Crash-safe persistence for any backend: `RecoveryManager::Open`
-/// + the `DurableSampler` wrapper (snapshot + write-ahead log).
+/// \brief Crash-safe persistence for every backend with a native snapshot
+/// format (`capabilities().snapshots`): `RecoveryManager::Open` + the
+/// `DurableSampler` wrapper (snapshot + write-ahead log).
 ///
 /// A durable directory holds exactly one logical state as a pair of files
 /// per *epoch* N:
@@ -83,6 +84,8 @@ struct DurableOptions {
   /// Registry name of the backend to run ("halt", "sharded8:halt", ...).
   /// Ignored when the directory already holds a snapshot — the snapshot
   /// header's backend wins, so a directory cannot silently change type.
+  /// Whichever of the two Open would build must advertise
+  /// `capabilities().snapshots`.
   std::string backend = "halt";
   /// Spec for a fresh backend (and the spec recorded into snapshots).
   SamplerSpec spec;
@@ -302,7 +305,11 @@ class RecoveryManager {
   /// Recovers the newest consistent state from `dir` (creating the
   /// directory and an empty state on first use), rotates to a fresh epoch,
   /// and returns the live handle.
-  /// \return `kIoError` when the filesystem refuses the rotation,
+  /// \return `kInvalidArgument` (naming a built-in backend), before any
+  ///   file is written, when the backend it would build (the newest snapshot
+  ///   header's, else `options.backend`) has no native snapshot format,
+  ///   or is a header's backend the registry rejects;
+  ///   `kIoError` when the filesystem refuses the rotation;
   ///   `kBadSnapshot` when the directory's contents are corrupt beyond
   ///   what crash semantics can produce (e.g. a WAL replay id mismatch) —
   ///   never an abort.

@@ -20,17 +20,16 @@ Status Sampler::SaveTo(persist::SnapshotWriter* writer) const {
   if (writer == nullptr) {
     return InvalidArgumentError("null snapshot writer");
   }
-  if (capabilities().snapshots) {
-    std::string payload;
-    Status st = Serialize(&payload);
-    if (!st.ok()) return st;
-    return writer->AddPayloadFrame(payload);
+  // Only a native format keeps ids, which WAL replay relies on; the
+  // id-losing portable frame is written by ExportPortable alone.
+  if (!capabilities().snapshots) {
+    return UnsupportedError(
+        "backend has no native snapshot format; use ExportPortable");
   }
-  // No native format: fall back to the portable (id, weight) dump.
-  std::vector<ItemRecord> items;
-  Status st = DumpItems(&items);
+  std::string payload;
+  Status st = Serialize(&payload);
   if (!st.ok()) return st;
-  return writer->AddGenericFrame(items);
+  return writer->AddPayloadFrame(payload);
 }
 
 namespace persist {

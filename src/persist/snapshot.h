@@ -1,6 +1,6 @@
 /// \file
 /// \brief The versioned, checksummed snapshot container: one file format
-/// that serializes **any** registered `dpss::Sampler` backend.
+/// for every backend that persists (`capabilities().snapshots`).
 ///
 /// Layout (all integers little-endian):
 ///
@@ -14,13 +14,13 @@
 /// The **header** frame records the container version, the backend registry
 /// name, the `SamplerSpec` to rebuild it with, and the item count and exact
 /// Σw of the saved state (cross-checked after restore). The **payload**
-/// frame carries the backend's native `Serialize` bytes — every built-in
-/// backend has a native format that round-trips ids, generations and
-/// free-slot order exactly. Backends registered without
-/// `capabilities().snapshots` fall back to a **generic** frame of
-/// (id, weight) records dumped via `Sampler::DumpItems` and replayed
-/// through `InsertWeight` (state-equivalent weights; fresh ids) — the same
-/// frame doubles as the cross-backend export format. The **end** frame
+/// frame carries the backend's native `Serialize` bytes, which round-trip
+/// ids, generations and free-slot order exactly; `SaveSampler` refuses a
+/// backend without one (`kUnsupported`). The **generic** frame of
+/// (id, weight) records, dumped via `Sampler::DumpItems` and replayed
+/// through `InsertWeight` (state-equivalent weights; fresh ids), is
+/// written only by an explicit `ExportPortable`: the cross-backend export
+/// format, and the only file form of an in-memory backend. The **end** frame
 /// seals the container (frame count + payload byte count), so a truncated
 /// file is always detected even when the cut lands between frames.
 ///
@@ -182,15 +182,18 @@ class SnapshotReader {
 
 // --- One-call drivers -----------------------------------------------------
 
-/// Serializes `s` into a container snapshot appended to `*out` (native
-/// payload when the backend has one, generic records otherwise).
+/// Serializes `s` into a container snapshot appended to `*out`: the
+/// backend's native payload, which keeps ids.
+/// \return `kUnsupported` unless `s.capabilities().snapshots` (use
+///   ExportPortable for the id-losing portable form).
 Status SaveSampler(const Sampler& s, const SamplerSpec& spec,
                    std::string* out);
 
-/// Like SaveSampler but forces the portable generic frame — the
-/// cross-backend export path (restore via LoadSampler into any backend
-/// name recorded... the header keeps `s`'s own name; use LoadSamplerAs to
-/// import into a different backend).
+/// Writes the portable generic frame instead of the native payload — the
+/// cross-backend export path, open to any backend with DumpItems (the
+/// fixed-(α, β) comparators included). Ids are not kept. The header keeps
+/// `s`'s own name and spec, so LoadSampler rebuilds the same backend; use
+/// LoadSamplerAs to import into a different one.
 Status ExportPortable(const Sampler& s, const SamplerSpec& spec,
                       std::string* out);
 

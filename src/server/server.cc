@@ -37,6 +37,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -53,6 +54,25 @@ namespace dpss {
 namespace server {
 
 namespace {
+
+// Why ServerOptions::backend cannot be served (Status messages are static
+// strings, hence one per built-in).
+const char* UnservableReason(const std::string& backend) {
+  if (backend == "rebuild") {
+    return "rebuild: fixed (alpha, beta); serve halt, naive or "
+           "sharded[K]:<inner>";
+  }
+  if (backend == "bucket_jump") {
+    return "bucket_jump: fixed (alpha, beta); serve halt, naive or "
+           "sharded[K]:<inner>";
+  }
+  if (backend == "odss") {
+    return "odss: fixed (alpha, beta); serve halt, naive or "
+           "sharded[K]:<inner>";
+  }
+  return "ServerOptions::backend is not parameterized (a kSample carries "
+         "its own alpha, beta)";
+}
 
 uint64_t NowNs() {
   timespec ts;
@@ -175,7 +195,9 @@ class Server::Impl {
             "min_replica_acks is a primary-side option");
       }
     }
-    Status st = BuildSampler();
+    Status st = CheckServable();
+    if (!st.ok()) return st;
+    st = BuildSampler();
     if (!st.ok()) return st;
     st = BindListeners();
     if (!st.ok()) return st;
@@ -340,6 +362,16 @@ class Server::Impl {
     dopts.checkpoint_wal_bytes = opts_.checkpoint_wal_bytes;
     dopts.env = opts_.env;
     return dopts;
+  }
+
+  // A kSample carries its own (alpha, beta), so a server serves only a
+  // parameterized backend. Probed on a throwaway instance before
+  // BuildSampler opens or creates any directory.
+  Status CheckServable() const {
+    auto probe = MakeSamplerChecked(opts_.backend, opts_.spec);
+    if (!probe.ok()) return probe.status();
+    if ((*probe)->capabilities().parameterized) return Status::Ok();
+    return InvalidArgumentError(UnservableReason(opts_.backend));
   }
 
   Status BuildSampler() {

@@ -1,6 +1,6 @@
 /// \file
 /// \brief `dpss::server::Server` — the long-running serving layer wrapping
-/// any registered sampler backend (optionally durable) behind the wire
+/// any parameterized sampler backend (optionally durable) behind the wire
 /// protocol of `server/protocol.h`.
 ///
 /// \par Architecture
@@ -66,6 +66,8 @@ struct ServerOptions {
   int io_threads = 0;
 
   /// Registry name of the backend to serve ("halt", "sharded8:halt", ...).
+  /// Must advertise `capabilities().parameterized`: Start rejects the
+  /// fixed-(α, β) comparators.
   std::string backend = "sharded8:halt";
   /// Spec for the backend (seed, shard count, ...).
   SamplerSpec spec;
@@ -154,8 +156,9 @@ class Server {
  public:
   /// Binds `host:port`, builds (or recovers) the backend, spawns the event
   /// loops and the batch thread.
-  /// \return `kInvalidArgument` for an unknown backend or bad options,
-  ///   `kIoError` when binding or recovery fails.
+  /// \return `kInvalidArgument` for an unknown or unparameterized backend
+  ///   (checked in every mode, before any directory is touched) or bad
+  ///   options, `kIoError` when binding or recovery fails.
   static StatusOr<std::unique_ptr<Server>> Start(const ServerOptions& opts);
 
   /// Drains and joins (idempotent).

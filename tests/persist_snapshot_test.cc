@@ -1,8 +1,9 @@
-// The snapshot container (persist/snapshot.h) across every backend:
-// byte-exact round trips, the FuzzedSnapshotsNeverAbort generalization
-// (every truncation point + 400 bit flips, per backend, through the
-// container), golden files pinning the v1 bytes, and the generic-frame
-// cross-backend export path.
+// The snapshot container (persist/snapshot.h) across every backend that
+// persists: byte-exact round trips, the FuzzedSnapshotsNeverAbort
+// generalization (every truncation point + 400 bit flips, per backend,
+// through the container), golden files pinning the v1 bytes, and the
+// generic-frame export path (cross-backend, and the only file form of the
+// in-memory comparators).
 
 #include <cstdint>
 #include <cstdio>
@@ -32,12 +33,12 @@ using persist::LoadSamplerAs;
 using persist::ReadSnapshotInfo;
 using persist::SaveSampler;
 
-// The full matrix the acceptance criteria name: all five flat/halt
-// backends plus the sharded wrapper — over both a classic inner ("halt")
-// and an arena-image inner ("naive").
+// Every backend that persists (`capabilities().snapshots`): halt, naive
+// and the sharded wrapper over both a classic inner ("halt") and an
+// arena-image inner ("naive"). The fixed-(α, β) comparators are in-memory
+// only; PersistGenericTest covers their portable export.
 std::vector<std::string> SnapshotBackends() {
-  return {"halt",         "naive", "rebuild",      "bucket_jump",
-          "odss",         "sharded8:halt", "sharded4:naive"};
+  return {"halt", "naive", "sharded8:halt", "sharded4:naive"};
 }
 
 class PersistSnapshotTest : public ::testing::TestWithParam<std::string> {};
@@ -443,6 +444,48 @@ TEST(PersistGenericTest, PortableExportCrossesBackends) {
   ASSERT_TRUE(SaveSampler(*halt, spec, &native).ok());
   auto wrong = LoadSamplerAs("naive", spec, native);
   EXPECT_EQ(wrong.status().code(), StatusCode::kBadSnapshot);
+}
+
+// The in-memory comparators have no native format, so SaveSampler refuses
+// them instead of quietly writing the id-losing generic frame; the
+// explicit portable export still round-trips their size, Σw and the
+// spec's fixed (α, β).
+TEST(PersistGenericTest, InMemoryComparatorsExportButDoNotSave) {
+  for (const char* backend : {"rebuild", "bucket_jump", "odss"}) {
+    SCOPED_TRACE(backend);
+    SamplerSpec spec;
+    spec.seed = 5;
+    spec.fixed_alpha = {1, 2};
+    spec.fixed_beta = {3, 1};
+    auto s = MakeSampler(backend, spec);
+    ASSERT_NE(s, nullptr);
+    std::vector<ItemId> ids;
+    const std::vector<uint64_t> weights = {4, 0, 9, 30};
+    ASSERT_TRUE(s->InsertBatch(weights, &ids).ok());
+    ASSERT_TRUE(s->Erase(ids[2]).ok());
+
+    std::string bytes;
+    EXPECT_EQ(SaveSampler(*s, spec, &bytes).code(), StatusCode::kUnsupported);
+
+    bytes.clear();
+    ASSERT_TRUE(persist::ExportPortable(*s, spec, &bytes).ok());
+    auto loaded = LoadSampler(bytes);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    EXPECT_STREQ((*loaded)->name(), backend);
+    EXPECT_EQ((*loaded)->size(), s->size());
+    EXPECT_TRUE((*loaded)->TotalWeight() == s->TotalWeight());
+    auto info = ReadSnapshotInfo(bytes);
+    ASSERT_TRUE(info.ok());
+    EXPECT_EQ(info->spec.fixed_alpha.num, 1u);
+    EXPECT_EQ(info->spec.fixed_alpha.den, 2u);
+    EXPECT_EQ(info->spec.fixed_beta.num, 3u);
+    EXPECT_EQ(info->spec.fixed_beta.den, 1u);
+    // The reloaded comparator answers the exported pair, and only it.
+    std::vector<ItemId> out;
+    EXPECT_TRUE((*loaded)->SampleInto({1, 2}, {3, 1}, &out).ok());
+    EXPECT_EQ((*loaded)->SampleInto({1, 1}, {0, 1}, &out).code(),
+              StatusCode::kUnsupported);
+  }
 }
 
 // --- Golden files: the v1 bytes are pinned --------------------------------

@@ -339,15 +339,16 @@ TEST(RecoveryKillPoints, HaltSyncEveryOp) { KillPointHarness("halt", 1); }
 
 TEST(RecoveryKillPoints, HaltGroupCommit) { KillPointHarness("halt", 4); }
 
-// "rebuild" and everything below run the arena (v2) snapshot path:
-// rotation and checkpoints go through WriteFileViaMap, so every MapFile
-// and Msync is a kill point and every torn-page crash lands inside a
-// mapped writeback.
-TEST(RecoveryKillPoints, RebuildBaseline) { KillPointHarness("rebuild", 1); }
-
 TEST(RecoveryKillPoints, ShardedHalt) {
   KillPointHarness("sharded4:halt", 1);
 }
+
+// "naive" and everything below run the arena (v2) snapshot path:
+// rotation and checkpoints go through WriteFileViaMap, so every MapFile
+// and Msync is a kill point and every torn-page crash lands inside a
+// mapped writeback. This one writes full (not incremental) v2 checkpoints
+// and syncs every op.
+TEST(RecoveryKillPoints, NaiveFullCheckpoint) { KillPointHarness("naive", 1); }
 
 // Incremental checkpoints: the script's two Checkpoint() calls write
 // delta files, so the kill-point matrix covers every crash index inside
@@ -495,6 +496,138 @@ TEST(RecoveryTest, DurableForwardsConcurrentQueries) {
   auto d = RecoveryManager::Open(kDir, MakeOptions(&mem, "sharded4:naive", 1));
   ASSERT_TRUE(d.ok());
   EXPECT_TRUE((*d)->capabilities().concurrent_queries);
+}
+
+// A naive wrapper registered without a native snapshot format: the shape
+// of an external registration that can only dump its items. `name` lets a
+// test write a snapshot header naming any backend.
+class NoSnapshotNaive final : public Sampler {
+ public:
+  explicit NoSnapshotNaive(const SamplerSpec& spec,
+                           const char* name = "naive_no_snapshots")
+      : inner_(MakeSampler("naive", spec)), name_(name) {}
+  const char* name() const override { return name_; }
+  Capabilities capabilities() const override {
+    Capabilities caps = inner_->capabilities();
+    caps.snapshots = false;
+    caps.arena_image = false;
+    return caps;
+  }
+  StatusOr<ItemId> Insert(uint64_t w) override { return inner_->Insert(w); }
+  StatusOr<ItemId> InsertWeight(Weight w) override {
+    return inner_->InsertWeight(w);
+  }
+  Status Erase(ItemId id) override { return inner_->Erase(id); }
+  Status SetWeight(ItemId id, Weight w) override {
+    return inner_->SetWeight(id, w);
+  }
+  bool Contains(ItemId id) const override { return inner_->Contains(id); }
+  StatusOr<Weight> GetWeight(ItemId id) const override {
+    return inner_->GetWeight(id);
+  }
+  uint64_t size() const override { return inner_->size(); }
+  BigUInt TotalWeight() const override { return inner_->TotalWeight(); }
+  Status SampleInto(Rational64 alpha, Rational64 beta,
+                    std::vector<ItemId>* out) override {
+    return inner_->SampleInto(alpha, beta, out);
+  }
+  Status SampleInto(Rational64 alpha, Rational64 beta, RandomEngine& rng,
+                    std::vector<ItemId>* out) const override {
+    return inner_->SampleInto(alpha, beta, rng, out);
+  }
+  Status DumpItems(std::vector<ItemRecord>* out) const override {
+    return inner_->DumpItems(out);
+  }
+  size_t ApproxMemoryBytes() const override {
+    return sizeof(*this) + inner_->ApproxMemoryBytes();
+  }
+
+ private:
+  std::unique_ptr<Sampler> inner_;
+  const char* name_;
+};
+
+StatusOr<std::unique_ptr<Sampler>> MakeNoSnapshotNaive(
+    const SamplerSpec& spec) {
+  return StatusOr<std::unique_ptr<Sampler>>(
+      std::make_unique<NoSnapshotNaive>(spec));
+}
+
+// Open builds only a backend that keeps ids across a checkpoint. One
+// without a native snapshot format used to be accepted and checkpointed
+// through the id-losing generic frame, so a logged erase after a
+// checkpoint named an id the reopened state never issued and recovery
+// failed ("logged erase failed against the snapshot state"). The
+// rejection comes before any file is written.
+TEST(RecoveryTest, OpenRejectsBackendsWithoutNativeSnapshots) {
+  // Registered here, not at static init, so the backend stays out of the
+  // registry-driven suites instantiated before any test runs.
+  (void)RegisterSampler("naive_no_snapshots", &MakeNoSnapshotNaive);
+  for (const char* backend :
+       {"rebuild", "bucket_jump", "odss", "naive_no_snapshots"}) {
+    SCOPED_TRACE(backend);
+    MemEnv mem;
+    const DurableOptions opts = MakeOptions(&mem, backend, 1);
+    auto d = RecoveryManager::Open(kDir, opts);
+    if (d.ok()) {
+      // Show what accepting it costs: an erase acked after a checkpoint.
+      std::vector<ItemId> ids;
+      for (uint64_t w : {10, 20, 30, 40}) ids.push_back(*(*d)->Insert(w));
+      ASSERT_TRUE((*d)->Erase(ids[0]).ok());
+      ASSERT_TRUE((*d)->Checkpoint().ok());
+      ASSERT_TRUE((*d)->Erase(ids[3]).ok());
+      d = RecoveryManager::Open(kDir, opts);
+      ADD_FAILURE() << "Open accepted it; reopening after acked writes "
+                    << "gives: " << (d.ok() ? "Ok" : d.status().message());
+      continue;
+    }
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+    const std::string message = d.status().message();
+    if (std::string(backend) == "naive_no_snapshots") {
+      // Registered backends share one static message.
+      EXPECT_NE(message.find("no native snapshot format"), std::string::npos)
+          << message;
+    } else {
+      EXPECT_EQ(message.rfind(std::string(backend) + ":", 0), 0u) << message;
+    }
+    auto listing = mem.ListDir(kDir);
+    ASSERT_TRUE(listing.ok());
+    EXPECT_TRUE(listing->empty());
+  }
+}
+
+// The same rule on the header path: a snapshot naming a backend Open
+// cannot keep refuses the Open and keeps the file, instead of skipping the
+// epoch, starting fresh and retiring it. Here: the portable export of an
+// in-memory comparator, and a header naming a composition the registry
+// rejects (sharded over a comparator, as older builds wrote).
+TEST(RecoveryTest, OpenRefusesASnapshotOfABackendItCannotKeep) {
+  for (const char* backend : {"odss", "sharded2:odss"}) {
+    SCOPED_TRACE(backend);
+    MemEnv mem;
+    SamplerSpec spec;
+    spec.seed = 1234;
+    NoSnapshotNaive writer(spec, backend);
+    ASSERT_TRUE(writer.Insert(7).ok());
+    std::string bytes;
+    ASSERT_TRUE(persist::ExportPortable(writer, spec, &bytes).ok());
+    ASSERT_TRUE(mem.CreateDir(kDir).ok());
+    {
+      auto f = mem.NewWritableFile(std::string(kDir) + "/snapshot-1",
+                                   /*truncate=*/true);
+      ASSERT_TRUE(f.ok());
+      ASSERT_TRUE((*f)->Append(bytes).ok());
+    }
+    auto d = RecoveryManager::Open(kDir, MakeOptions(&mem, "halt", 1));
+    ASSERT_FALSE(d.ok());
+    EXPECT_EQ(d.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(std::string(d.status().message()).find("odss"),
+              std::string::npos)
+        << d.status().message();
+    auto listing = mem.ListDir(kDir);
+    ASSERT_TRUE(listing.ok());
+    EXPECT_EQ(*listing, std::vector<std::string>{"snapshot-1"});
+  }
 }
 
 // --- Arena (v2) format and incremental checkpoints ------------------------

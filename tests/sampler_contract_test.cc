@@ -309,6 +309,12 @@ TEST_P(SamplerContractTest, OptionalApisHonorCapabilityFlags) {
   const Sampler::Capabilities caps = s->capabilities();
   // Only the sharded wrapper's own-engine query may race with itself.
   EXPECT_EQ(caps.concurrent_queries, GetParam().rfind("sharded", 0) == 0);
+  // The persistence rule: an arena image is one more native snapshot
+  // format, and only the three fixed-(α, β) comparators have none.
+  if (caps.arena_image) EXPECT_TRUE(caps.snapshots);
+  const bool comparator = GetParam() == "rebuild" ||
+                          GetParam() == "bucket_jump" || GetParam() == "odss";
+  EXPECT_EQ(caps.snapshots, !comparator);
   std::vector<ItemId> ids;
   const std::vector<uint64_t> seed_weights = {40, 12, 28};
   ASSERT_TRUE(s->InsertBatch(seed_weights, &ids).ok());
@@ -480,11 +486,11 @@ TEST_P(SamplerContractTest, ChurnKeepsBookkeepingExact) {
   EXPECT_TRUE(s->CheckInvariants().ok());
 }
 
-// Restore-into-non-empty audit (every backend implements snapshots now):
-// Restore must *replace* the state — slots, generations, free-list order —
-// not merge into it. The regression this pins: a restore that keeps the
-// destination's old slots or generations lets a pre-restore id alias
-// whatever later reuses its slot.
+// Restore-into-non-empty audit (every backend with `snapshots`; the
+// in-memory comparators skip): Restore must *replace* the state — slots,
+// generations, free-list order — not merge into it. The regression this
+// pins: a restore that keeps the destination's old slots or generations
+// lets a pre-restore id alias whatever later reuses its slot.
 TEST_P(SamplerContractTest, RestoreReplacesStateCompletely) {
   if (!Make()->capabilities().snapshots) GTEST_SKIP();
 

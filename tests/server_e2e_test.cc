@@ -87,6 +87,31 @@ TEST(ServerOptionsTest, ZeroDrainFlushGraceIsAValidFastDrain) {
   EXPECT_TRUE(server->stopped());
 }
 
+// A kSample carries its own (alpha, beta), so Start refuses a backend that
+// answers only the spec's fixed pair, in every mode and before any
+// directory is created, instead of failing that kSample with kUnsupported.
+TEST(ServerE2eTest, StartRejectsFixedParameterBackends) {
+  for (const char* mode : {"in-memory", "durable", "replica"}) {
+    SCOPED_TRACE(mode);
+    persist::MemEnv env;
+    ServerOptions opts = FastOptions();
+    opts.backend = "odss";
+    opts.env = &env;
+    if (std::string(mode) != "in-memory") opts.durable_dir = "/state";
+    if (std::string(mode) == "replica") opts.replica_of = "127.0.0.1:1";
+    auto started = Server::Start(opts);
+    if (started.ok()) {
+      ADD_FAILURE() << "Start accepted odss";
+      continue;
+    }
+    EXPECT_EQ(started.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(std::string(started.status().message()).find("odss"),
+              std::string::npos)
+        << started.status().message();
+    EXPECT_FALSE(env.ListDir("/state").ok()) << "Start created the directory";
+  }
+}
+
 TEST(ServerE2eTest, MutationsAndQueriesRoundTrip) {
   auto server = MustStart(FastOptions());
   ASSERT_NE(server, nullptr);

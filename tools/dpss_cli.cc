@@ -22,8 +22,11 @@
 //   mu <an> <ad> <bn> <bd>     expected sample size for (α, β)
 //   stats                      backend-specific stats + memory
 //   check                      run the structural invariant checker
-//   save <file>                write a container snapshot (any backend;
-//                              fsync'd; records backend name + spec)
+//   save <file>                write a container snapshot (fsync'd;
+//                              records backend name + spec). The
+//                              fixed-(α, β) comparators rebuild,
+//                              bucket_jump and odss are in-memory only:
+//                              save, wal and recover refuse them
 //   load <file>                load a container snapshot — recreates the
 //                              backend the file names, items and ids intact
 //   info <file>                print a snapshot's header without loading it
