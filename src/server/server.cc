@@ -227,7 +227,15 @@ class Server::Impl {
 
   void RequestDrain() {
     int expected = 0;
-    if (phase_.compare_exchange_strong(expected, 1)) {
+    bool first = false;
+    {
+      // Under qmu_: the batch thread tests phase_ in its wait predicate
+      // while holding qmu_, so a change made outside it could slip between
+      // that test and the wait and lose this notify.
+      std::lock_guard<std::mutex> lock(qmu_);
+      first = phase_.compare_exchange_strong(expected, 1);
+    }
+    if (first) {
       qcv_.notify_all();
       WakeAllIo();
     }
@@ -795,7 +803,10 @@ class Server::Impl {
       if (!admitted.empty()) {
         {
           std::lock_guard<std::mutex> lock(qmu_);
-          for (Work& w : admitted) queue_.push_back(std::move(w));
+          for (Work& w : admitted) {
+            if (IsMutation(w.req.type)) ++queued_mutations_;
+            queue_.push_back(std::move(w));
+          }
         }
         qcv_.notify_one();
         admitted.clear();
@@ -807,7 +818,10 @@ class Server::Impl {
 
   // Releases the admission accounting for `w` and appends the reply to its
   // outbox; records the op's latency and outcome. The wake fd is collected
-  // for a deduplicated post-batch wakeup.
+  // for a deduplicated post-batch wakeup, and only when the outbox was
+  // empty: a non-empty one already has its wakeup written or collected (the
+  // I/O thread empties it under the same mutex, and its own inline replies
+  // are pumped in the same loop pass that appends them).
   void Reply(const Work& w, const Response& resp, CoreMetrics& m,
              std::vector<int>* wake) {
     queue_depth_.fetch_sub(1, std::memory_order_relaxed);
@@ -819,15 +833,15 @@ class Server::Impl {
       m.op_errors[k].fetch_add(1, std::memory_order_relaxed);
     }
     m.op_latency_ns[k].Record(NowNs() - w.arrival_ns);
-    bool enqueued = false;
+    bool needs_wake = false;
     {
       std::lock_guard<std::mutex> lock(w.outbox->mu);
       if (!w.outbox->closed) {
+        needs_wake = w.outbox->pending.empty();
         EncodeResponse(resp, &w.outbox->pending);
-        enqueued = true;
       }
     }
-    if (enqueued &&
+    if (needs_wake &&
         std::find(wake->begin(), wake->end(), w.outbox->wake_fd) ==
             wake->end()) {
       wake->push_back(w.outbox->wake_fd);
@@ -837,8 +851,8 @@ class Server::Impl {
   void ApplyMutations(std::vector<Work>& batch,
                       const std::vector<size_t>& origin, CoreMetrics& m,
                       std::vector<int>* wake) {
-    std::vector<Op> ops;
-    ops.reserve(origin.size());
+    std::vector<Op>& ops = scratch_.ops;
+    ops.clear();
     for (size_t i : origin) {
       const Request& r = batch[i].req;
       switch (r.type) {
@@ -855,7 +869,7 @@ class Server::Impl {
       }
     }
     size_t start = 0;
-    std::vector<ItemId> inserted;
+    std::vector<ItemId>& inserted = scratch_.inserted;
     while (start < ops.size()) {
       inserted.clear();
       size_t applied = 0;
@@ -910,15 +924,14 @@ class Server::Impl {
                     std::vector<int>* wake) {
     // Partition the read run: kSample bursts can fan out over the pool on
     // a thread-safe backend, everything else is answered serially.
-    std::vector<size_t> samples;
+    std::vector<size_t>& samples = scratch_.samples;
+    samples.clear();
     for (size_t i : origin) {
       if (batch[i].req.type == MsgType::kSample) samples.push_back(i);
     }
-    struct QueryResult {
-      Status st;
-      std::vector<ItemId> ids;
-    };
-    std::vector<QueryResult> results(samples.size());
+    std::vector<QueryResult>& results = scratch_.results;
+    results.clear();
+    results.resize(samples.size());
     if (!samples.empty()) {
       m.query_bursts.fetch_add(1, std::memory_order_relaxed);
       m.burst_queries.fetch_add(samples.size(), std::memory_order_relaxed);
@@ -1026,8 +1039,12 @@ class Server::Impl {
   }
 
   void ProcessBatch(std::vector<Work>& batch, CoreMetrics& m) {
-    std::vector<size_t> mutations;
-    std::vector<size_t> reads;
+    std::vector<size_t>& mutations = scratch_.mutations;
+    std::vector<size_t>& reads = scratch_.reads;
+    std::vector<int>& wake = scratch_.wake;
+    mutations.clear();
+    reads.clear();
+    wake.clear();
     for (size_t i = 0; i < batch.size(); ++i) {
       if (IsMutation(batch[i].req.type)) {
         mutations.push_back(i);
@@ -1035,7 +1052,6 @@ class Server::Impl {
         reads.push_back(i);
       }
     }
-    std::vector<int> wake;
     // Mutations first: a query admitted in the same drain cycle as an
     // earlier mutation observes it (per-connection arrival order gives
     // read-your-writes; cross-cycle FIFO gives monotonicity).
@@ -1106,9 +1122,11 @@ class Server::Impl {
         }
         if (!queue_.empty()) {
           // Group-commit window: give other connections batch_window_us to
-          // contribute before paying the ApplyBatch + fsync. Skipped when
-          // the batch is already full or the server is draining.
-          if (opts_.batch_window_us > 0 &&
+          // contribute to the fsync a durable mutation batch pays. Reads
+          // and in-memory mutations share nothing, so they run at once;
+          // so does a full batch or any batch while draining.
+          if (durable_ != nullptr && queued_mutations_ > 0 &&
+              opts_.batch_window_us > 0 &&
               queue_.size() < opts_.max_batch_ops &&
               phase_.load(std::memory_order_acquire) == 0) {
             qcv_.wait_for(
@@ -1122,6 +1140,7 @@ class Server::Impl {
               queue_.size(), static_cast<size_t>(opts_.max_batch_ops));
           batch.reserve(take);
           for (size_t i = 0; i < take; ++i) {
+            if (IsMutation(queue_.front().req.type)) --queued_mutations_;
             batch.push_back(std::move(queue_.front()));
             queue_.pop_front();
           }
@@ -1261,6 +1280,20 @@ class Server::Impl {
   std::unique_ptr<Sampler> sampler_;
   persist::DurableSampler* durable_ = nullptr;  // aliases sampler_
   std::unique_ptr<ThreadPool> query_pool_;
+  // Per-batch working vectors, kept across batches so that a batch of a few
+  // ops allocates nothing. Batch-thread-only.
+  struct QueryResult {
+    Status st;
+    std::vector<ItemId> ids;
+  };
+  struct BatchScratch {
+    std::vector<size_t> mutations, reads, samples;
+    std::vector<Op> ops;
+    std::vector<ItemId> inserted;
+    std::vector<QueryResult> results;
+    std::vector<int> wake;
+  };
+  BatchScratch scratch_;
 
   // --- Replication (docs/REPLICATION.md) ---
   // Primary side: created on a durable primary, owned and touched only by
@@ -1303,6 +1336,7 @@ class Server::Impl {
   std::mutex qmu_;
   std::condition_variable qcv_;
   std::deque<Work> queue_;
+  size_t queued_mutations_ = 0;  // guarded by qmu_; mutations in queue_
   bool batch_done_ = false;  // guarded by qmu_; batch thread has exited
   std::atomic<uint64_t> queue_depth_{0};
   std::atomic<uint64_t> inflight_bytes_{0};

@@ -84,9 +84,12 @@ struct ServerOptions {
 
   /// Most mutations funneled into one ApplyBatch call.
   uint32_t max_batch_ops = 2048;
-  /// How long the batcher waits for more work after the first queued
-  /// request, in microseconds. The knob trades mutation latency against
-  /// fsyncs per op (durable mode) and per-op dispatch overhead.
+  /// Group-commit cap, in microseconds: how long a durable server holds a
+  /// batch that contains a mutation, so that mutations from other
+  /// connections share its WAL record and fsync. The knob trades mutation
+  /// latency against fsyncs per op. Every other batch (all reads, or any
+  /// batch of an in-memory server or a replica) runs as soon as it is
+  /// queued, since it has no fsync to share.
   uint32_t batch_window_us = 200;
 
   /// Admission bound: queued-but-unprocessed requests across all

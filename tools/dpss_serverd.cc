@@ -12,6 +12,10 @@
 //                [--replica-of HOST:PORT] [--min-replica-acks N]
 //                [--advertise-addr HOST:PORT]
 //
+// --batch-window-us caps how long a durable server holds a batch that
+// contains a mutation so that other connections' mutations share its
+// fsync (group commit). Reads and in-memory batches never wait.
+//
 // --port 0 (the default) binds an ephemeral port; the resolved port is
 // printed on stdout as "listening on HOST:PORT" and, with --port-file,
 // written to PATH so scripts can find it without parsing stdout.
@@ -55,7 +59,9 @@ void Usage() {
       "                    [--wal-sync-every N] [--stats-interval-s S]\n"
       "                    [--port-file PATH] [--replica-of HOST:PORT]\n"
       "                    [--min-replica-acks N]\n"
-      "                    [--advertise-addr HOST:PORT]\n");
+      "                    [--advertise-addr HOST:PORT]\n"
+      "--batch-window-us: group-commit linger (default 200) for durable\n"
+      "                   batches holding a mutation; others run at once\n");
 }
 
 }  // namespace
