@@ -23,6 +23,7 @@
 #include <string>
 
 #include "bigint/big_uint.h"
+#include "bigint/u128.h"
 #include "util/check.h"
 
 namespace dpss {
@@ -51,6 +52,25 @@ inline void ParameterizedTotal(const BigUInt& total, Rational64 alpha,
                            alpha.den);
   *den = BigUInt::FromU128(static_cast<unsigned __int128>(alpha.den) *
                            beta.den);
+}
+
+// ParameterizedTotal for a two-word total, in u128 arithmetic: the same
+// num and den. Returns false (leaving *num and *den untouched) when a
+// product might need more than 128 bits or the sum wraps; callers then use
+// ParameterizedTotal.
+inline bool ParameterizedTotalU128(U128 total, Rational64 alpha,
+                                   Rational64 beta, BigUInt* num,
+                                   BigUInt* den) {
+  DPSS_CHECK(alpha.den > 0 && beta.den > 0);
+  if (!MulFits(total, alpha.num)) return false;
+  const U128 scaled = total * alpha.num;
+  if (!MulFits(scaled, beta.den)) return false;
+  const U128 term1 = scaled * beta.den;
+  const U128 sum = term1 + static_cast<U128>(beta.num) * alpha.den;
+  if (sum < term1) return false;
+  *num = BigUInt::FromU128(sum);
+  *den = BigUInt::FromU128(static_cast<U128>(alpha.den) * beta.den);
+  return true;
 }
 
 class BigRational {

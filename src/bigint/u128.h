@@ -52,30 +52,44 @@ inline int CompareShifted(U128 a, U128 b, int k) {
   return a < s ? -1 : (a == s ? 0 : 1);
 }
 
-// ⌈log2(a/b)⌉ for a, b > 0 — the u128 mirror of BigRational::CeilLog2
+// ⌊log2(a/b)⌋ for a, b > 0 — the u128 mirror of BigRational::FloorLog2
 // (Claim 4.3): bit lengths give the candidate within one, a shifted
 // comparison settles it. May be negative.
-inline int CeilLog2Ratio(U128 a, U128 b) {
+inline int FloorLog2Ratio(U128 a, U128 b) {
   DPSS_DCHECK(a != 0 && b != 0);
   const int k0 = BitLength(a) - BitLength(b);
   // floor(log2(a/b)) ∈ {k0-1, k0}: compare a with b·2^k0.
-  int floor_log;
-  if (k0 >= 0) {
-    floor_log = CompareShifted(a, b, k0) >= 0 ? k0 : k0 - 1;
-  } else {
-    floor_log = CompareShifted(b, a, -k0) <= 0 ? k0 : k0 - 1;
-  }
-  // ceil == floor iff a/b is an exact power of two.
-  const int cmp = floor_log >= 0 ? CompareShifted(a, b, floor_log)
-                                 : CompareShifted(b, a, -floor_log);
-  return cmp == 0 ? floor_log : floor_log + 1;
+  if (k0 >= 0) return CompareShifted(a, b, k0) >= 0 ? k0 : k0 - 1;
+  return CompareShifted(b, a, -k0) <= 0 ? k0 : k0 - 1;
+}
+
+// ⌈log2(a/b)⌉ given f = FloorLog2Ratio(a, b): equal to f iff a/b is an
+// exact power of two (the mirror of BigRational::CeilLog2).
+inline int CeilLog2RatioFromFloor(U128 a, U128 b, int f) {
+  const int cmp = f >= 0 ? CompareShifted(a, b, f) : CompareShifted(b, a, -f);
+  return cmp == 0 ? f : f + 1;
+}
+
+// ⌈log2(a/b)⌉ for a, b > 0. May be negative.
+inline int CeilLog2Ratio(U128 a, U128 b) {
+  return CeilLog2RatioFromFloor(a, b, FloorLog2Ratio(a, b));
 }
 
 // floor((a << f) / b) for a < b, b != 0, 0 <= f <= 60 (so the quotient fits
-// one word). Shift-subtract long division: 192-bit intermediates are
-// simulated by tracking the bit shifted out of the 128-bit remainder.
+// one word); *exact (if non-null) tells whether the division left no
+// remainder. When a << f fits 128 bits this is one division; otherwise a
+// shift-subtract long division simulates the 192-bit intermediate by
+// tracking the bit shifted out of the 128-bit remainder. Both give the same
+// quotient and remainder. The loop's f data-dependent branches cost tens of
+// times the division, so only operands within f bits of 2^128 pay them.
 inline uint64_t ShlDivFloor(U128 a, U128 b, int f, bool* exact) {
   DPSS_DCHECK(b != 0 && a < b && f >= 0 && f <= 60);
+  if (BitLength(a) + f <= 128) {
+    const U128 num = a << f;
+    const uint64_t q = static_cast<uint64_t>(num / b);
+    if (exact != nullptr) *exact = (num == static_cast<U128>(q) * b);
+    return q;
+  }
   U128 r = a;
   uint64_t q = 0;
   for (int s = 0; s < f; ++s) {

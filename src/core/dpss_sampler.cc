@@ -345,10 +345,11 @@ void DpssSampler::SampleIntoW(const BigUInt& wnum, const BigUInt& wden,
   // weights), so the hint is also bounded by a constant: beyond it the
   // buffer reaches steady state through actual outputs in O(log) doublings
   // and stays there across calls.
-  if (!wnum.IsZero() && !total_weight().IsZero()) {
+  const int total_bits =
+      total_fast_ ? BitLength(total_u128_) : total_weight().BitLength();
+  if (!wnum.IsZero() && total_bits != 0) {
     constexpr uint64_t kMaxReserveHint = 4096;
-    const int diff =
-        total_weight().BitLength() + wden.BitLength() - wnum.BitLength();
+    const int diff = total_bits + wden.BitLength() - wnum.BitLength();
     if (diff >= 0) {
       const uint64_t est =
           diff >= 62 ? kMaxReserveHint : std::min(kMaxReserveHint,

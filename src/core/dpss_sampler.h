@@ -165,9 +165,14 @@ class DpssSampler {
   double ExpectedSampleSize(Rational64 alpha, Rational64 beta) const;
 
   // The parameterized total weight W_S(α,β) = α·Σw + β as an exact rational.
+  // Formed in u128 from the word-sized Σw when the products fit; the result
+  // is the same pair of integers either way.
   void ComputeW(Rational64 alpha, Rational64 beta, BigUInt* num,
                 BigUInt* den) const {
-    ParameterizedTotal(total_weight(), alpha, beta, num, den);
+    if (!total_fast_ ||
+        !ParameterizedTotalU128(total_u128_, alpha, beta, num, den)) {
+      ParameterizedTotal(total_weight(), alpha, beta, num, den);
+    }
   }
 
   // One PSS query against an explicit parameterized total W = wnum/wden

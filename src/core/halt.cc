@@ -60,9 +60,7 @@ struct HaltStructure::QueryContext {
   U128 wnum128 = 0;
   U128 wden128 = 0;
   bool fast = false;
-  int floor_log2_w;
-  int ceil_log2_w;
-  int i1_final;  // final-level insignificance threshold (may be negative)
+  WThresholds thresholds;
   RandomEngine* rng;
   QueryScratch* scratch;
 };
@@ -191,6 +189,31 @@ inline bool ItemProbNumeratorU128(U128 wden, const Weight& w, U128* out) {
 
 }  // namespace
 
+HaltStructure::WThresholds HaltStructure::ComputeThresholds(
+    const BigUInt& wnum, const BigUInt& wden, int m) {
+  const BigRational w_rat(wnum, wden);
+  WThresholds t;
+  t.floor_log2_w = w_rat.FloorLog2();
+  t.ceil_log2_w = w_rat.CeilLog2();
+  // Final-level threshold: largest i1 with 2^{i1+1} <= 2W/m².
+  const BigRational r(wnum << 1,
+                      BigUInt::MulU64(wden, static_cast<uint64_t>(m) *
+                                                static_cast<uint64_t>(m)));
+  t.i1_final = r.FloorLog2() - 1;
+  return t;
+}
+
+bool HaltStructure::ComputeThresholdsU128(U128 wnum, U128 wden, int m,
+                                          WThresholds* out) {
+  const U128 m2 = static_cast<U128>(m) * static_cast<U128>(m);
+  if (!MulFits(wden, m2)) return false;
+  out->floor_log2_w = FloorLog2Ratio(wnum, wden);
+  out->ceil_log2_w = CeilLog2RatioFromFloor(wnum, wden, out->floor_log2_w);
+  // ⌊log2(2W/m²)⌋ − 1 = ⌊log2(W/m²)⌋, so wnum needs no extra bit.
+  out->i1_final = FloorLog2Ratio(wnum, wden * m2);
+  return true;
+}
+
 std::vector<uint64_t> HaltStructure::Sample(const BigUInt& wnum,
                                             const BigUInt& wden,
                                             RandomEngine& rng) const {
@@ -213,7 +236,6 @@ void HaltStructure::SampleInto(const BigUInt& wnum, const BigUInt& wden,
     return;
   }
 
-  const BigRational w_rat(wnum, wden);
   QueryContext ctx;
   ctx.wnum = &wnum;
   ctx.wden = &wden;
@@ -222,13 +244,10 @@ void HaltStructure::SampleInto(const BigUInt& wnum, const BigUInt& wden,
     ctx.wnum128 = wnum.ToU128();
     ctx.wden128 = wden.ToU128();
   }
-  ctx.floor_log2_w = w_rat.FloorLog2();
-  ctx.ceil_log2_w = w_rat.CeilLog2();
-  // Final-level threshold: largest i1 with 2^{i1+1} <= 2W/m².
-  const BigRational r(wnum << 1,
-                      BigUInt::MulU64(wden, static_cast<uint64_t>(m_) *
-                                                static_cast<uint64_t>(m_)));
-  ctx.i1_final = r.FloorLog2() - 1;
+  if (!ctx.fast ||
+      !ComputeThresholdsU128(ctx.wnum128, ctx.wden128, m_, &ctx.thresholds)) {
+    ctx.thresholds = ComputeThresholds(wnum, wden, m_);
+  }
   ctx.rng = &rng;
   ctx.scratch = scratch_.get();
   // Batch the first block of random words up front (stream-invisible; see
@@ -243,8 +262,8 @@ void HaltStructure::Query(const Instance* inst, const QueryContext& ctx,
   const int g = inst->bg.group_width();
   // Bucket-level thresholds: buckets <= i1 are insignificant
   // (2^{i1+1}·2^{2g} <= W), buckets >= i2 are certain (2^{i2} >= W).
-  const int i1 = ctx.floor_log2_w - 2 * g - 1;
-  const int i2 = ctx.ceil_log2_w;
+  const int i1 = ctx.thresholds.floor_log2_w - 2 * g - 1;
+  const int i2 = ctx.thresholds.ceil_log2_w;
   // Group-aligned boundaries: groups <= j1 are entirely insignificant,
   // groups >= j2 entirely certain; groups strictly between are significant.
   const int j1 = (i1 + 1 >= g) ? (i1 + 1) / g - 1 : -1;
@@ -486,8 +505,8 @@ void HaltStructure::QueryFinalLevel(const Instance* inst,
                                     const QueryContext& ctx,
                                     std::vector<uint64_t>* out) const {
   if (inst->bg.Empty()) return;
-  const int i1 = ctx.i1_final;
-  const int i2 = ctx.ceil_log2_w;
+  const int i1 = ctx.thresholds.i1_final;
+  const int i2 = ctx.thresholds.ceil_log2_w;
   const uint64_t m_sq = static_cast<uint64_t>(m_) * static_cast<uint64_t>(m_);
 
   QueryInsignificant(inst, ctx, i1, /*coin_num=*/2, BigUInt(m_sq),

@@ -110,6 +110,23 @@ class HaltStructure {
   void SampleInto(const BigUInt& wnum, const BigUInt& wden, RandomEngine& rng,
                   std::vector<uint64_t>* out) const;
 
+  // The thresholds a query derives from W = wnum/wden > 0 and the 4S grid
+  // parameter m: ⌊log2 W⌋, ⌈log2 W⌉, and the final level's insignificance
+  // threshold i1 = ⌊log2(2W/m²)⌋ − 1 (may be negative).
+  struct WThresholds {
+    int floor_log2_w = 0;
+    int ceil_log2_w = 0;
+    int i1_final = 0;
+  };
+  // Exact BigRational form, for any operand width.
+  static WThresholds ComputeThresholds(const BigUInt& wnum,
+                                       const BigUInt& wden, int m);
+  // The u128 mirror: the same three integers from word arithmetic. Returns
+  // false (leaving *out untouched) when wden·m² needs more than 128 bits;
+  // SampleInto then uses ComputeThresholds.
+  static bool ComputeThresholdsU128(U128 wnum, U128 wden, int m,
+                                    WThresholds* out);
+
   // Exhaustive structural self-check (tests): cross-level weight and
   // location consistency, adapter windows, bitmap state. Aborts on failure.
   void CheckInvariants() const;

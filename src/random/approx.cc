@@ -148,7 +148,17 @@ FixedInterval ApproxPStar(const BigUInt& qnum, const BigUInt& qden, uint64_t n,
   BigUInt pos_lo = t_lo, pos_hi = t_hi;
   BigUInt neg_lo, neg_hi;  // zero
 
-  for (uint64_t j = 1; j < terms && j < n; ++j) {
+  // Steps j = 1 .. stop-1 add term j+1. The multiplier q·(n-j)/(j+1) is
+  // below 1 (n·q <= 1), so once (t_lo, t_hi) reaches (0, 1) it stays there:
+  // the floor of 1·multiplier is 0, plus the +1 of outward rounding. The
+  // remaining steps then add 0 to the lo sums and 1 to the hi sum of their
+  // sign, which is added in closed form (ApproxPStarSmall does the same, so
+  // the two mirrors stay step for step).
+  const uint64_t stop = terms < n ? terms : n;
+  const BigUInt one_ulp(uint64_t{1});
+  uint64_t j = 1;
+  for (; j < stop; ++j) {
+    if (t_lo.IsZero() && BigUInt::Compare(t_hi, one_ulp) == 0) break;
     // |t_{j+1}| = |t_j| * qnum*(n-j) / (qden*(j+1))
     const BigUInt mul_num = BigUInt::MulU64(qnum, n - j);
     const BigUInt mul_den = BigUInt::MulU64(qden, j + 1);
@@ -162,8 +172,12 @@ FixedInterval ApproxPStar(const BigUInt& qnum, const BigUInt& qden, uint64_t n,
       pos_lo = pos_lo + t_lo;
       pos_hi = pos_hi + t_hi;
     }
-    if (t_hi.IsZero()) break;
   }
+  // Each remaining step j' in [j, stop) adds term j'+1, which is negative
+  // for odd j'.
+  const uint64_t neg_steps = stop / 2 - j / 2;
+  neg_hi = neg_hi + BigUInt(neg_steps);
+  pos_hi = pos_hi + BigUInt((stop - j) - neg_steps);
 
   // Tail bound: 2^{-(terms-1)} scaled to f fractional bits (only needed if
   // the series was truncated before n terms).
@@ -298,11 +312,25 @@ bool ApproxPStarSmall(U128 qnum, U128 qden, uint64_t n, int target_bits,
   U128 pos_lo = t_lo, pos_hi = t_hi;
   U128 neg_lo = 0, neg_hi = 0;
 
-  for (uint64_t j = 1; j < terms && j < n; ++j) {
+  // Same steps as ApproxPStar, including the stop at the (0, 1) fixed
+  // point and the closed-form remainder.
+  const uint64_t stop = terms < n ? terms : n;
+  uint64_t j = 1;
+  for (; j < stop; ++j) {
+    if (t_lo == 0 && t_hi == 1) break;
     const U128 mul_num = qnum * (n - j);
     const U128 mul_den = qden * (j + 1);
-    t_lo = (t_lo * mul_num) / mul_den;
-    t_hi = (t_hi * mul_num) / mul_den + 1;
+    const U128 p_lo = t_lo * mul_num;
+    const U128 p_hi = t_hi * mul_num;
+    if (((p_hi | mul_den) >> 64) == 0) {
+      // p_lo <= p_hi: both dividends and the divisor fit one word.
+      const uint64_t d = static_cast<uint64_t>(mul_den);
+      t_lo = static_cast<uint64_t>(p_lo) / d;
+      t_hi = static_cast<uint64_t>(p_hi) / d + 1;
+    } else {
+      t_lo = p_lo / mul_den;
+      t_hi = p_hi / mul_den + 1;
+    }
     if ((j + 1) % 2 == 0) {
       neg_lo += t_lo;
       neg_hi += t_hi;
@@ -310,8 +338,10 @@ bool ApproxPStarSmall(U128 qnum, U128 qden, uint64_t n, int target_bits,
       pos_lo += t_lo;
       pos_hi += t_hi;
     }
-    if (t_hi == 0) break;
   }
+  const uint64_t neg_steps = stop / 2 - j / 2;
+  neg_hi += neg_steps;
+  pos_hi += (stop - j) - neg_steps;
 
   U128 tail = 0;
   if (terms < n) {

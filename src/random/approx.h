@@ -62,6 +62,10 @@ FixedInterval ApproxPow(const BigUInt& num, const BigUInt& den, uint64_t m,
 // <= 2^-target_bits. Requires 0 < q, n >= 1, and n·q <= 1 (paper Thm 3.1).
 // Uses the alternating binomial series of Lemma 3.3 truncated at
 // target_bits + 3 terms (term magnitudes halve at least geometrically).
+// The outward-rounded term enclosure reaches the fixed point (0, 1) ulp
+// after a dozen or so terms at the first-rung precision; the series stops
+// there and adds the remaining terms' (0, 1) in closed form, which gives
+// the same integers as running every term.
 FixedInterval ApproxPStar(const BigUInt& qnum, const BigUInt& qden, uint64_t n,
                           int target_bits);
 
@@ -123,9 +127,11 @@ void ApproxPowSmallBase(U128 num, U128 den, int f, uint64_t* base_lo,
 SmallInterval ApproxPowSmallFromBase(uint64_t base_lo, uint64_t base_hi, int f,
                                      uint64_t m);
 
-// Mirror of ApproxPStar(qnum, qden, n, target_bits) for n >= 2. Returns
-// false (leaving *out untouched) when an intermediate product could exceed
-// 128 bits; callers then fall back to the BigUInt oracle.
+// Mirror of ApproxPStar(qnum, qden, n, target_bits) for n >= 2, step for
+// step (including the fixed-point stop); a step divides in 64 bits when
+// its products and divisor fit one word. Returns false (leaving *out
+// untouched) when an intermediate product could exceed 128 bits; callers
+// then fall back to the BigUInt oracle.
 bool ApproxPStarSmall(U128 qnum, U128 qden, uint64_t n, int target_bits,
                       SmallInterval* out);
 

@@ -22,8 +22,12 @@ constexpr int kPowCacheSlots = 8192;
 thread_local PowCacheSlot t_pow_cache[kPowCacheSlots];
 
 // Second level: the squares chain s_k = (num/den)^(2^k) at working
-// precision f. A fresh enclosure costs one ShlDivFloor long division plus
-// ~2·bitlen(m) interval multiplications; the geometric samplers draw the
+// precision f. A fresh enclosure costs one ShlDivFloor (a single division
+// for word-sized operands; the bit loop only when num << f spills 128
+// bits) plus ~2·bitlen(m) interval multiplications. Chains are rebuilt
+// whenever W moves, and every mutation moves W, so on a workload that
+// mutates between queries many lookups rebuild one; there the division's
+// cost matters as much as the hit rate. The geometric samplers draw the
 // exponent m uniformly per coin (the offset within a block), so the
 // (num, den, m) level above misses constantly on the query walk. But the
 // chain depends on m only through f = ApproxPowSmallFracBits(m, 18), which

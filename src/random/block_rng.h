@@ -35,6 +35,8 @@
 // cached copy is invisible to both the bit stream and the sampling
 // distribution — it returns bit-for-bit the same SmallInterval the direct
 // call would (see the ApproxPowSmall* decomposition in random/approx.h).
+// A chain miss (every mutation changes W and with it the operands) costs
+// one ShlDivFloor division plus the squarings the exponent needs.
 
 #ifndef DPSS_RANDOM_BLOCK_RNG_H_
 #define DPSS_RANDOM_BLOCK_RNG_H_

@@ -28,25 +28,25 @@ const char* OpKindName(OpKind kind) {
 }
 
 int LatencyHistogram::BucketIndex(uint64_t value) {
-  if (value < 4) return static_cast<int>(value);
+  if (value < kSubBuckets) return static_cast<int>(value);
   const int o = FloorLog2(value);
-  const int sub = static_cast<int>((value >> (o - 2)) & 3);
-  const int index = 4 * (o - 1) + sub;
-  return index < kNumBuckets ? index : kNumBuckets - 1;
+  const int sub =
+      static_cast<int>((value >> (o - kSubBucketBits)) & (kSubBuckets - 1));
+  return kSubBuckets * (o - kSubBucketBits + 1) + sub;
 }
 
 uint64_t LatencyHistogram::BucketLowerBound(int index) {
-  if (index < 4) return static_cast<uint64_t>(index);
-  const int o = index / 4 + 1;
-  const int sub = index % 4;
+  if (index < kSubBuckets) return static_cast<uint64_t>(index);
+  const int o = index / kSubBuckets + kSubBucketBits - 1;
+  const int sub = index % kSubBuckets;
   return (uint64_t{1} << o) +
-         static_cast<uint64_t>(sub) * (uint64_t{1} << (o - 2));
+         static_cast<uint64_t>(sub) * (uint64_t{1} << (o - kSubBucketBits));
 }
 
 uint64_t LatencyHistogram::BucketUpperBound(int index) {
-  if (index < 4) return static_cast<uint64_t>(index);
-  const int o = index / 4 + 1;
-  return BucketLowerBound(index) + (uint64_t{1} << (o - 2)) - 1;
+  if (index < kSubBuckets) return static_cast<uint64_t>(index);
+  const int o = index / kSubBuckets + kSubBucketBits - 1;
+  return BucketLowerBound(index) + (uint64_t{1} << (o - kSubBucketBits)) - 1;
 }
 
 uint64_t HistogramSnapshot::count() const {

@@ -12,12 +12,12 @@
 /// a request latency.
 ///
 /// **Histogram shape.** Values (nanoseconds, or batch occupancies) are
-/// binned into four linear sub-buckets per power-of-two octave: values
-/// below 4 get exact unit buckets, and a value v ≥ 4 with
-/// `o = floor(log2 v)` lands in bucket `4·(o−1) + ((v >> (o−2)) & 3)`.
-/// A bucket's width is 2^(o−2), i.e. at most 25% of its lower bound, so
-/// any quantile read from the histogram is off by at most one bucket
-/// width — the bound `tests/server_metrics_test.cc` asserts.
+/// binned into 32 linear sub-buckets per power-of-two octave: values
+/// below 32 get exact unit buckets, and a value v ≥ 32 with
+/// `o = floor(log2 v)` lands in bucket `32·(o−4) + ((v >> (o−5)) & 31)`.
+/// A bucket's width is 2^(o−5), i.e. at most 1/32 (3.2%) of its lower
+/// bound, so any quantile read from the histogram is off by at most one
+/// bucket width — the bound `tests/server_metrics_test.cc` asserts.
 
 #ifndef DPSS_SERVER_METRICS_H_
 #define DPSS_SERVER_METRICS_H_
@@ -53,11 +53,14 @@ const char* OpKindName(OpKind kind);
 /// only eventually consistent, which is all a stats export needs).
 class LatencyHistogram {
  public:
-  /// Bucket count: 4 unit buckets + 4 sub-buckets × 62 octaves.
-  static constexpr int kNumBuckets = 252;
+  /// Sub-buckets per octave (a power of two), and log2 of it.
+  static constexpr int kSubBucketBits = 5;
+  static constexpr int kSubBuckets = 1 << kSubBucketBits;
+  /// Bucket count: 32 unit buckets + 32 sub-buckets × the 59 octaves
+  /// [2^5, 2^64).
+  static constexpr int kNumBuckets = kSubBuckets * (64 - kSubBucketBits + 1);
 
   /// Bucket index for a value (see the file comment for the formula).
-  /// Values ≥ 2^63 clamp into the last bucket.
   static int BucketIndex(uint64_t value);
   /// Smallest value mapping to bucket `index`.
   static uint64_t BucketLowerBound(int index);

@@ -6,9 +6,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "random/bernoulli.h"
 #include "util/random.h"
 
 namespace dpss {
@@ -158,6 +160,261 @@ TEST(ApproxHalfRecipPStarTest, IsAProbabilityInHalfOne) {
         ApproxHalfRecipPStar(BigUInt(uint64_t{2}), qden, n, 40);
     EXPECT_GE(enc.MidToDouble(), 0.5 - 1e-6);
     EXPECT_LE(enc.MidToDouble(), 1.0 + 1e-6);
+  }
+}
+
+// --- Word-arithmetic shortcuts against the full loops ----------------------
+//
+// ShlDivFloor divides once when a << f fits 128 bits, and both p* series
+// stop at the (0, 1) fixed point and add the remaining steps in closed
+// form. The oracles below are verbatim copies of the full loops those
+// shortcuts replace; every shortcut must land on the same integers.
+
+uint64_t OracleShlDivFloor(U128 a, U128 b, int f, bool* exact) {
+  U128 r = a;
+  uint64_t q = 0;
+  for (int s = 0; s < f; ++s) {
+    const bool top = (r >> 127) != 0;
+    r <<= 1;
+    q <<= 1;
+    if (top || r >= b) {
+      r -= b;
+      q |= 1;
+    }
+  }
+  if (exact != nullptr) *exact = (r == 0);
+  return q;
+}
+
+bool OracleApproxPStarSmall(U128 qnum, U128 qden, uint64_t n, int target_bits,
+                            SmallInterval* out) {
+  const uint64_t terms = static_cast<uint64_t>(target_bits) + 3;
+  const int f = target_bits + CeilLog2(terms + 2) + 6;
+  if ((f + 1) + BitLength(qnum) + BitLength(n) > 128) return false;
+  if (BitLength(qden) + BitLength(terms + 1) > 128) return false;
+
+  U128 t_lo = static_cast<U128>(1) << f;  // t_1 = 1
+  U128 t_hi = t_lo;
+  U128 pos_lo = t_lo, pos_hi = t_hi;
+  U128 neg_lo = 0, neg_hi = 0;
+
+  for (uint64_t j = 1; j < terms && j < n; ++j) {
+    const U128 mul_num = qnum * (n - j);
+    const U128 mul_den = qden * (j + 1);
+    t_lo = (t_lo * mul_num) / mul_den;
+    t_hi = (t_hi * mul_num) / mul_den + 1;
+    if ((j + 1) % 2 == 0) {
+      neg_lo += t_lo;
+      neg_hi += t_hi;
+    } else {
+      pos_lo += t_lo;
+      pos_hi += t_hi;
+    }
+    if (t_hi == 0) break;
+  }
+
+  U128 tail = 0;
+  if (terms < n) {
+    const int tail_shift = f - static_cast<int>(terms) + 1;
+    tail = tail_shift >= 0 ? static_cast<U128>(1) << tail_shift
+                           : static_cast<U128>(1);
+  }
+
+  const U128 down = neg_hi + tail;
+  U128 lo_bound = pos_lo > down ? pos_lo - down : 0;
+  U128 hi_bound = pos_hi + tail;
+  hi_bound = hi_bound > neg_lo ? hi_bound - neg_lo : 0;
+  const U128 one = static_cast<U128>(1) << f;
+  if (hi_bound > one) hi_bound = one;
+  if (lo_bound > hi_bound) lo_bound = hi_bound;
+
+  out->frac_bits = f;
+  out->lo = static_cast<uint64_t>(lo_bound);
+  out->hi = static_cast<uint64_t>(hi_bound);
+  return true;
+}
+
+FixedInterval OracleApproxPStar(const BigUInt& qnum, const BigUInt& qden,
+                                uint64_t n, int target_bits) {
+  FixedInterval out;
+  if (n == 1) {
+    out.frac_bits = target_bits;
+    out.lo = BigUInt::PowerOfTwo(target_bits);
+    out.hi = out.lo;
+    return out;
+  }
+  const uint64_t terms = static_cast<uint64_t>(target_bits) + 3;
+  const int f = target_bits + CeilLog2(terms + 2) + 6;
+
+  BigUInt t_lo = BigUInt::PowerOfTwo(f);  // t_1 = 1
+  BigUInt t_hi = t_lo;
+  BigUInt pos_lo = t_lo, pos_hi = t_hi;
+  BigUInt neg_lo, neg_hi;  // zero
+
+  for (uint64_t j = 1; j < terms && j < n; ++j) {
+    const BigUInt mul_num = BigUInt::MulU64(qnum, n - j);
+    const BigUInt mul_den = BigUInt::MulU64(qden, j + 1);
+    t_lo = BigUInt::Div(t_lo * mul_num, mul_den);
+    t_hi = BigUInt::Div(t_hi * mul_num, mul_den);
+    t_hi.Increment();
+    if ((j + 1) % 2 == 0) {
+      neg_lo = neg_lo + t_lo;
+      neg_hi = neg_hi + t_hi;
+    } else {
+      pos_lo = pos_lo + t_lo;
+      pos_hi = pos_hi + t_hi;
+    }
+    if (t_hi.IsZero()) break;
+  }
+
+  BigUInt tail;
+  if (terms < n) {
+    const int tail_shift = f - static_cast<int>(terms) + 1;
+    tail = tail_shift >= 0 ? BigUInt::PowerOfTwo(tail_shift)
+                           : BigUInt(uint64_t{1});
+  }
+
+  BigUInt lo_bound = pos_lo;
+  const BigUInt down = neg_hi + tail;
+  lo_bound = BigUInt::Compare(lo_bound, down) > 0 ? BigUInt::Sub(lo_bound, down)
+                                                  : BigUInt();
+  BigUInt hi_bound = pos_hi + tail;
+  hi_bound = BigUInt::Compare(hi_bound, neg_lo) > 0
+                 ? BigUInt::Sub(hi_bound, neg_lo)
+                 : BigUInt();
+  const BigUInt one = BigUInt::PowerOfTwo(f);
+  if (BigUInt::Compare(hi_bound, one) > 0) hi_bound = one;
+  if (BigUInt::Compare(lo_bound, hi_bound) > 0) lo_bound = hi_bound;
+
+  out.frac_bits = f;
+  out.lo = std::move(lo_bound);
+  out.hi = std::move(hi_bound);
+  return out;
+}
+
+// A uniformly random value of exactly `bits` bits (bits in [1, 128]).
+U128 RandomOfBitLength(int bits, RandomEngine& rng) {
+  const U128 top = static_cast<U128>(1) << (bits - 1);
+  return top | (bits > 1 ? RandomBigBelow(top, rng) : 0);
+}
+
+void ExpectShlDivMatchesOracle(U128 a, U128 b, int f) {
+  bool exact = false, oracle_exact = true;
+  const uint64_t q = ShlDivFloor(a, b, f, &exact);
+  const uint64_t oracle = OracleShlDivFloor(a, b, f, &oracle_exact);
+  ASSERT_EQ(q, oracle) << "bits(a)=" << BitLength(a) << " bits(b)="
+                       << BitLength(b) << " f=" << f;
+  ASSERT_EQ(exact, oracle_exact) << "bits(a)=" << BitLength(a)
+                                 << " bits(b)=" << BitLength(b) << " f=" << f;
+  // The flag is optional.
+  ASSERT_EQ(ShlDivFloor(a, b, f, nullptr), oracle);
+}
+
+TEST(ShlDivFloorTest, RandomOperandsMatchBitLoop) {
+  RandomEngine rng(41);
+  for (int iter = 0; iter < 20000; ++iter) {
+    const int b_bits = 1 + static_cast<int>(rng.NextBelow(128));
+    const U128 b = RandomOfBitLength(b_bits, rng);
+    if (b < 2) continue;
+    const U128 a = RandomBigBelow(b, rng);
+    const int f = static_cast<int>(rng.NextBelow(61));
+    ExpectShlDivMatchesOracle(a, b, f);
+  }
+}
+
+TEST(ShlDivFloorTest, DivisionBoundaryAt128Bits) {
+  // BitLength(a) + f = 128 takes the one-division path, 129 the bit loop;
+  // both around b below and at or above 2^64.
+  RandomEngine rng(42);
+  for (int iter = 0; iter < 4000; ++iter) {
+    const int f = static_cast<int>(rng.NextBelow(61));
+    for (int total : {127, 128, 129}) {
+      const int a_bits = total - f;
+      if (a_bits < 1 || a_bits > 127) continue;
+      const U128 a = RandomOfBitLength(a_bits, rng);
+      // b > a: same bit length (and larger) or strictly longer.
+      const int b_bits =
+          a_bits + static_cast<int>(rng.NextBelow(129 - a_bits));
+      U128 b = RandomOfBitLength(b_bits, rng);
+      if (b <= a) b = a + 1;
+      ExpectShlDivMatchesOracle(a, b, f);
+    }
+  }
+}
+
+TEST(ShlDivFloorTest, WideDivisorsAndExactQuotients) {
+  RandomEngine rng(43);
+  for (int iter = 0; iter < 4000; ++iter) {
+    // b >= 2^64 forces the two-word divide (or the loop when a << f spills).
+    const U128 b = RandomOfBitLength(65 + static_cast<int>(rng.NextBelow(64)),
+                                     rng);
+    const U128 a = RandomBigBelow(b, rng);
+    ExpectShlDivMatchesOracle(a, b, static_cast<int>(rng.NextBelow(61)));
+  }
+  // Exact divisions: a/b = k/2^s with s <= f leaves no remainder.
+  for (int s = 0; s <= 60; ++s) {
+    for (U128 b : {static_cast<U128>(1) << s,
+                   (static_cast<U128>(3) << 64) << s,
+                   (static_cast<U128>(5) << 100) << (s > 24 ? 24 : s)}) {
+      if (b < 2) continue;
+      ExpectShlDivMatchesOracle(b / 2, b, 60);
+      ExpectShlDivMatchesOracle(b - 1, b, 60);
+      ExpectShlDivMatchesOracle(1, b, 60);
+    }
+  }
+}
+
+void ExpectPStarMatchesOracles(U128 qnum, U128 qden, uint64_t n, int target) {
+  SmallInterval small, oracle_small;
+  const bool ok = ApproxPStarSmall(qnum, qden, n, target, &small);
+  ASSERT_EQ(ok, OracleApproxPStarSmall(qnum, qden, n, target, &oracle_small));
+  if (ok) {
+    EXPECT_EQ(small.lo, oracle_small.lo);
+    EXPECT_EQ(small.hi, oracle_small.hi);
+    EXPECT_EQ(small.frac_bits, oracle_small.frac_bits);
+  }
+  const BigUInt bqnum = BigUInt::FromU128(qnum);
+  const BigUInt bqden = BigUInt::FromU128(qden);
+  const FixedInterval big = ApproxPStar(bqnum, bqden, n, target);
+  const FixedInterval oracle = OracleApproxPStar(bqnum, bqden, n, target);
+  EXPECT_EQ(BigUInt::Compare(big.lo, oracle.lo), 0);
+  EXPECT_EQ(BigUInt::Compare(big.hi, oracle.hi), 0);
+  EXPECT_EQ(big.frac_bits, oracle.frac_bits);
+  if (ok) {
+    EXPECT_EQ(BigUInt::Compare(big.lo, BigUInt(small.lo)), 0);
+    EXPECT_EQ(BigUInt::Compare(big.hi, BigUInt(small.hi)), 0);
+  }
+}
+
+TEST(ApproxPStarTest, FixedPointStopMatchesFullSeries) {
+  for (int target : {18, 40}) {
+    const uint64_t terms = static_cast<uint64_t>(target) + 3;
+    for (uint64_t n : {uint64_t{2}, uint64_t{3}, terms - 1, terms, terms + 1,
+                       uint64_t{1} << 16, uint64_t{1} << 40}) {
+      SCOPED_TRACE("target=" + std::to_string(target) +
+                   " n=" + std::to_string(n));
+      const U128 un = n;
+      // n·q = 2^-40, 1/2 and exactly 1, each in a reduced and a scaled
+      // representation.
+      for (uint64_t scale : {uint64_t{1}, uint64_t{12345}}) {
+        ExpectPStarMatchesOracles(scale, un * scale << 40, n, target);
+        ExpectPStarMatchesOracles(scale, un * scale * 2, n, target);
+        ExpectPStarMatchesOracles(scale, un * scale, n, target);
+      }
+    }
+  }
+}
+
+TEST(ApproxPStarTest, FixedPointStopMatchesFullSeriesOnRandomQ) {
+  RandomEngine rng(44);
+  for (int iter = 0; iter < 3000; ++iter) {
+    const uint64_t n = 2 + rng.NextBelow(
+                               uint64_t{1} << (1 + rng.NextBelow(40)));
+    const int target = rng.NextBelow(2) == 0 ? 18 : 40;
+    const U128 qden = RandomOfBitLength(
+        BitLength(n) + 1 + static_cast<int>(rng.NextBelow(60)), rng);
+    const U128 qnum = 1 + RandomBigBelow(qden / n, rng);  // n·q <= 1
+    ExpectPStarMatchesOracles(qnum, qden, n, target);
   }
 }
 

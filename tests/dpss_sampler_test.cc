@@ -536,5 +536,92 @@ TEST(DpssSamplerTest, StressManySmallQueriesWithChurn) {
   s.CheckInvariants();
 }
 
+// --- ComputeW: the u128 form against ParameterizedTotal --------------------
+
+void ExpectTotalU128(U128 total, Rational64 alpha, Rational64 beta,
+                     bool expect_u128) {
+  BigUInt num, den, exact_num, exact_den;
+  ASSERT_EQ(ParameterizedTotalU128(total, alpha, beta, &num, &den),
+            expect_u128);
+  ParameterizedTotal(BigUInt::FromU128(total), alpha, beta, &exact_num,
+                     &exact_den);
+  if (expect_u128) {
+    EXPECT_EQ(BigUInt::Compare(num, exact_num), 0);
+    EXPECT_EQ(BigUInt::Compare(den, exact_den), 0);
+  } else {
+    EXPECT_TRUE(num.IsZero() && den.IsZero());  // left untouched
+  }
+}
+
+TEST(ComputeWTest, U128MatchesParameterizedTotal) {
+  const U128 one = 1;
+  const uint64_t max = ~uint64_t{0};
+  // Σw near 2^128: α = 0 leaves only β; α = 1 fits while Σw < 2^127.
+  ExpectTotalU128(~U128{0}, Rational64(0, 1), Rational64(5, 7), true);
+  ExpectTotalU128((one << 127) - 1, Rational64(1, 1), Rational64(3, 1), true);
+  ExpectTotalU128((one << 127) - 1, Rational64(1, 3), Rational64(0, 1), true);
+  // β = 0 and α = 0 with word-sized terms at their extremes.
+  ExpectTotalU128(12345, Rational64(max, max), Rational64(0, 1), true);
+  ExpectTotalU128(12345, Rational64(0, max), Rational64(max, max), true);
+  ExpectTotalU128(0, Rational64(7, 3), Rational64(0, 1), true);
+  // A product that might need a 129th bit falls back.
+  ExpectTotalU128(~U128{0}, Rational64(1, 1), Rational64(0, 1), false);
+  ExpectTotalU128(one << 100, Rational64(max, 1), Rational64(0, 1), false);
+  ExpectTotalU128(one << 60, Rational64(max, 1), Rational64(0, max), false);
+  // α·Σw·β.den fits but adding β.num·α.den wraps u128.
+  ExpectTotalU128((one << 127) - 1, Rational64(1, max), Rational64(max, 1),
+                  false);
+  // Random operands: whenever the u128 form answers it is exact.
+  RandomEngine rng(0xc0);
+  for (int iter = 0; iter < 20000; ++iter) {
+    const int bits = static_cast<int>(rng.NextBelow(129));
+    const U128 hi = rng.NextWord();
+    const U128 word128 = hi << 64 | rng.NextWord();
+    const U128 total = bits == 0 ? 0 : word128 >> (128 - bits);
+    auto word = [&] {
+      return rng.NextWord() >> rng.NextBelow(64);
+    };
+    const Rational64 alpha(rng.NextBelow(8) == 0 ? 0 : word(), 1 + word() / 2);
+    const Rational64 beta(rng.NextBelow(8) == 0 ? 0 : word(), 1 + word() / 2);
+    BigUInt num, den, exact_num, exact_den;
+    if (!ParameterizedTotalU128(total, alpha, beta, &num, &den)) continue;
+    ParameterizedTotal(BigUInt::FromU128(total), alpha, beta, &exact_num,
+                       &exact_den);
+    ASSERT_EQ(BigUInt::Compare(num, exact_num), 0) << "iter " << iter;
+    ASSERT_EQ(BigUInt::Compare(den, exact_den), 0) << "iter " << iter;
+  }
+}
+
+TEST(ComputeWTest, SamplerMatchesParameterizedTotalAcrossTheU128Boundary) {
+  DpssSampler s(5);
+  const uint64_t max = ~uint64_t{0};
+  const Rational64 params[][2] = {
+      {Rational64(1, 1), Rational64(0, 1)},
+      {Rational64(0, 1), Rational64(9, 2)},
+      {Rational64(3, 7), Rational64(max, 3)},
+      {Rational64(max, 1), Rational64(max, max)},
+  };
+  auto expect_all = [&](const char* stage) {
+    for (const auto& p : params) {
+      BigUInt num, den, exact_num, exact_den;
+      s.ComputeW(p[0], p[1], &num, &den);
+      ParameterizedTotal(s.total_weight(), p[0], p[1], &exact_num,
+                         &exact_den);
+      EXPECT_EQ(BigUInt::Compare(num, exact_num), 0) << stage;
+      EXPECT_EQ(BigUInt::Compare(den, exact_den), 0) << stage;
+    }
+  };
+  expect_all("empty");
+  const ItemId a = s.InsertWeight(Weight(uint64_t{1} << 63, 64));  // 2^127
+  s.Insert(17);
+  expect_all("just below 2^128");
+  const ItemId b = s.InsertWeight(Weight(uint64_t{1} << 63, 64));
+  expect_all("Σw past 2^128");
+  s.Erase(b);
+  expect_all("back below 2^128");
+  s.Erase(a);
+  expect_all("small");
+}
+
 }  // namespace
 }  // namespace dpss

@@ -7,10 +7,12 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "random/bernoulli.h"
 #include "tests/test_util.h"
 #include "util/random.h"
 
@@ -204,6 +206,125 @@ TEST(HaltStructureTest, LookupTableRowsStayBounded) {
   // (m+1)^K possible rows.
   EXPECT_LE(h.lookup_table().CachedRows(), 4000u);
   EXPECT_GT(h.lookup_table().CachedRows(), 0u);
+}
+
+// --- Query thresholds: the u128 form against BigRational -------------------
+
+void ExpectThresholdsMatch(U128 wnum, U128 wden, int m) {
+  HaltStructure::WThresholds fast;
+  ASSERT_TRUE(HaltStructure::ComputeThresholdsU128(wnum, wden, m, &fast));
+  const HaltStructure::WThresholds exact = HaltStructure::ComputeThresholds(
+      BigUInt::FromU128(wnum), BigUInt::FromU128(wden), m);
+  EXPECT_EQ(fast.floor_log2_w, exact.floor_log2_w);
+  EXPECT_EQ(fast.ceil_log2_w, exact.ceil_log2_w);
+  EXPECT_EQ(fast.i1_final, exact.i1_final);
+}
+
+TEST(HaltThresholdsTest, U128MatchesBigRationalAroundPowersOfTwo) {
+  const U128 one = 1;
+  for (int m : {4, 8, 12, 16}) {
+    for (U128 wden : {one, U128{3}, (one << 64) + 1}) {
+      // W = 2^k exactly (wnum = 2^k·wden) and one unit either side, for
+      // every k with 2^k·wden + 1 inside 128 bits.
+      for (int k = 0; BitLength(wden) + k <= 127; ++k) {
+        SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                     " bits(wden)=" + std::to_string(BitLength(wden)));
+        const U128 at = wden << k;
+        if (at > 1) ExpectThresholdsMatch(at - 1, wden, m);
+        ExpectThresholdsMatch(at, wden, m);
+        ExpectThresholdsMatch(at + 1, wden, m);
+      }
+      // W below 1: 2^-k·wden when exact, and the neighbours.
+      for (int k = 1; k < BitLength(wden); ++k) {
+        const U128 at = wden >> k;
+        if (at > 1) ExpectThresholdsMatch(at - 1, wden, m);
+        ExpectThresholdsMatch(at, wden, m);
+        ExpectThresholdsMatch(at + 1, wden, m);
+      }
+      ExpectThresholdsMatch(1, wden, m);
+    }
+  }
+}
+
+TEST(HaltThresholdsTest, U128MatchesBigRationalOnRandomW) {
+  RandomEngine rng(0x7417);
+  for (int iter = 0; iter < 20000; ++iter) {
+    const int num_bits = 1 + static_cast<int>(rng.NextBelow(128));
+    const int den_bits = 1 + static_cast<int>(rng.NextBelow(120));
+    const U128 wnum = (static_cast<U128>(1) << (num_bits - 1)) |
+                      (num_bits > 1 ? RandomBigBelow(static_cast<U128>(1)
+                                                         << (num_bits - 1),
+                                                     rng)
+                                    : 0);
+    const U128 wden = (static_cast<U128>(1) << (den_bits - 1)) |
+                      (den_bits > 1 ? RandomBigBelow(static_cast<U128>(1)
+                                                         << (den_bits - 1),
+                                                     rng)
+                                    : 0);
+    ExpectThresholdsMatch(wnum, wden, 8);
+  }
+}
+
+TEST(HaltThresholdsTest, WideOperandBoundaries) {
+  const U128 one = 1;
+  // wnum at 2^127 and above: the BigRational form shifts wnum left one
+  // bit (a 129th bit); the u128 form needs no shift and still matches.
+  for (U128 wnum : {one << 127, (one << 127) + 1, ~U128{0}}) {
+    for (U128 wden : {one, U128{3}, (one << 64) + 1}) {
+      ExpectThresholdsMatch(wnum, wden, 8);
+    }
+  }
+  // wden·m² with bit lengths summing to 128 stays on u128; 129 must fall
+  // back (and leave the output untouched).
+  for (int m : {4, 8, 12}) {
+    const int m2_bits = BitLength(static_cast<uint64_t>(m * m));
+    const U128 fits = ~U128{0} >> m2_bits;            // 128 - m2_bits bits
+    const U128 spills = (~U128{0} >> (m2_bits - 1));  // one bit more
+    ExpectThresholdsMatch(~U128{0}, fits, m);
+    ExpectThresholdsMatch(fits, fits, m);
+    HaltStructure::WThresholds out;
+    out.floor_log2_w = 12345;
+    EXPECT_FALSE(
+        HaltStructure::ComputeThresholdsU128(~U128{0}, spills, m, &out));
+    EXPECT_FALSE(HaltStructure::ComputeThresholdsU128(1, spills, m, &out));
+    EXPECT_EQ(out.floor_log2_w, 12345);
+  }
+}
+
+TEST(HaltThresholdsTest, FallbackQueryMatchesForcedBigInt) {
+  // A W whose wden·m² spills 128 bits while wnum and wden still fit runs
+  // the BigRational thresholds with the coins on u128; the samples must
+  // equal the all-BigUInt run from the same seed.
+  Recorder rec_fast, rec_slow;
+  HaltStructure fast(8, &rec_fast);
+  HaltStructure slow(8, &rec_slow);
+  slow.SetForceBigIntArithmetic(true);
+  RandomEngine weights(3);
+  for (uint64_t h = 0; h < 200; ++h) {
+    const Weight w(1 + weights.NextBelow(4), 0);
+    fast.Insert(h, w);
+    slow.Insert(h, w);
+  }
+  const int m2_bits = BitLength(static_cast<uint64_t>(fast.m() * fast.m()));
+  const U128 wden = (static_cast<U128>(1) << (128 - m2_bits)) + 12345;
+  // W = 2^(m2_bits-1) - 4 keeps wnum inside 128 bits (m = 4 here: W = 12,
+  // so μ is about 42).
+  const U128 wnum = wden * ((uint64_t{1} << (m2_bits - 1)) - 4);
+  HaltStructure::WThresholds unused;
+  ASSERT_FALSE(
+      HaltStructure::ComputeThresholdsU128(wnum, wden, fast.m(), &unused));
+  const BigUInt bwnum = BigUInt::FromU128(wnum);
+  const BigUInt bwden = BigUInt::FromU128(wden);
+  RandomEngine rng_fast(77), rng_slow(77);
+  std::vector<uint64_t> out_fast, out_slow;
+  size_t total = 0;
+  for (int q = 0; q < 300; ++q) {
+    fast.SampleInto(bwnum, bwden, rng_fast, &out_fast);
+    slow.SampleInto(bwnum, bwden, rng_slow, &out_slow);
+    ASSERT_EQ(out_fast, out_slow) << "query " << q;
+    total += out_fast.size();
+  }
+  EXPECT_GT(total, 300u);  // the queries sampled something
 }
 
 }  // namespace
